@@ -179,7 +179,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 tracer=tracer,
                 fault_plan=fault_plan,
                 scheduler_wrapper=scheduler_wrapper,
-                compiled=not args.no_compiled,
             )
         )
     except (InvariantViolationError, RecoveryError) as error:
@@ -578,12 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="linear",
         help="backoff growth for restarted programs (default linear, "
              "the bit-parity behaviour)",
-    )
-    simulate.add_argument(
-        "--no-compiled", action="store_true",
-        help="run the scheduler's pure-Python reference structures "
-             "instead of the compiled hot path (bit-identical decisions; "
-             "see docs/PERFORMANCE.md, 'Compiled dispatch')",
     )
     simulate.add_argument(
         "--shards", type=int, metavar="N", default=None,

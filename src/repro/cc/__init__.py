@@ -1,15 +1,15 @@
 """Concurrency-control substrate: the tables put to work.
 
 Transactions (:mod:`repro.cc.transaction`), the AD/CD dependency graph
-(:mod:`repro.cc.dependencies`), shared objects with replay recovery
-(:mod:`repro.cc.objects`), intentions-list and undo-log recovery
-(:mod:`repro.cc.recovery`), the table-driven scheduler
-(:mod:`repro.cc.scheduler`) and its frozen seed-behaviour oracle
+(:mod:`repro.cc.dependencies`), shared objects with in-place execution
+and replay (undo) recovery (:mod:`repro.cc.objects`), the table-driven
+scheduler (:mod:`repro.cc.scheduler`) and its frozen seed-behaviour oracle
 (:mod:`repro.cc.reference`), the deterministic closed-loop driver
 (:mod:`repro.cc.harness`), workload generation
 (:mod:`repro.cc.workload`), the discrete-event simulator
-(:mod:`repro.cc.simulator`) and serializability verification
-(:mod:`repro.cc.serializability`).
+(:mod:`repro.cc.simulator`), serializability verification
+(:mod:`repro.cc.serializability`) and the commit-time validation
+scheduler over intentions lists (:mod:`repro.cc.validation`).
 """
 
 from repro.cc.conflict_graph import (
@@ -22,7 +22,6 @@ from repro.cc.harness import Transcript, drive
 from repro.cc.metrics import RunMetrics
 from repro.cc.reference import ReferenceScheduler
 from repro.cc.objects import AppliedOperation, SharedObject
-from repro.cc.recovery import IntentionsList, UndoLog
 from repro.cc.scheduler import (
     CommitDecision,
     OpDecision,
@@ -62,8 +61,6 @@ __all__ = [
     "is_conflict_serializable",
     "SharedObject",
     "AppliedOperation",
-    "IntentionsList",
-    "UndoLog",
     "TableDrivenScheduler",
     "ReferenceScheduler",
     "Transcript",

@@ -98,11 +98,6 @@ class SimulationConfig:
     #: Trace-event sink threaded through the scheduler; event timestamps
     #: are sim-clock times.  ``None`` means the zero-overhead NullTracer.
     tracer: Tracer | None = None
-    #: Run the scheduler's compiled hot path (integer conflict matrices,
-    #: codegen executors — :mod:`repro.perf.codegen`).  ``False`` selects
-    #: the pure-Python reference structures; transcripts are bit-identical
-    #: either way (``repro simulate --no-compiled`` flips this).
-    compiled: bool = True
     #: Optional :class:`~repro.robust.faults.FaultPlan` (duck-typed, so
     #: ``repro.cc`` stays import-independent of ``repro.robust``)
     #: consulted at the named fault points.  ``None`` — and likewise an
@@ -154,9 +149,7 @@ def simulate_with_scheduler(
             f"unknown restart policy {config.restart_policy!r}"
         )
     tracer = config.tracer if config.tracer is not None else NULL_TRACER
-    scheduler = TableDrivenScheduler(
-        policy=config.policy, tracer=tracer, compiled=config.compiled
-    )
+    scheduler = TableDrivenScheduler(policy=config.policy, tracer=tracer)
     if config.scheduler_wrapper is not None:
         scheduler = config.scheduler_wrapper(scheduler)
     plan = config.fault_plan
@@ -219,7 +212,7 @@ def simulate_with_scheduler(
                     cache.chaos_evict()
                 else:
                     cache.chaos_corrupt()
-            # The compiled transition memo fronts the cache with the same
+            # The shadow transition memo fronts the cache with the same
             # class of derived record; drop it so the poison is reachable
             # (otherwise memo hits would shield every future read).
             shadow = getattr(scheduler, "shadow_index", None)

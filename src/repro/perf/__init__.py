@@ -1,6 +1,6 @@
 """repro.perf — shared evidence base, execution memoization, parallel fan-out.
 
-Three layers, each usable on its own:
+Five modules, each usable on its own:
 
 * :mod:`repro.perf.cache` — a bounded LRU :class:`ExecutionCache` that
   :func:`~repro.spec.adt.execute_invocation` consults when installed, so
@@ -16,16 +16,13 @@ Three layers, each usable on its own:
   runtime scheduler's certification hot path: per-object, per-active-
   transaction "log without that transaction" replay states, advanced
   incrementally per grant and epoch-invalidated on abort rollback.
-* :mod:`repro.perf.flat_table` — :class:`FlatTable`, a compatibility
-  table precompiled at object-registration time into a dict-indexed
-  lookup with an unconditional-ND bitset fast path.
 * :mod:`repro.perf.codegen` — registration-time compilation of the
   scheduler hot path: :class:`ConflictMatrix` (the table as flat integer
   arrays over dense operation ids) and :class:`CompiledADT`
   (``exec``-generated per-operation executor closures), with
   :func:`compiled_execute` as the execution cache's compiled miss
-  handler.  The pure-Python paths above remain the reference
-  (``compiled=False``).
+  handler.  :class:`~repro.cc.reference.ReferenceScheduler` is the
+  differential oracle the scheduler built on them is checked against.
 
 See ``docs/PERFORMANCE.md`` for the architecture and the knobs.
 """
@@ -44,7 +41,6 @@ from repro.perf.codegen import (
     compiled_execute,
 )
 from repro.perf.evidence import EvidenceBase
-from repro.perf.flat_table import FlatTable
 from repro.perf.parallel import resolve_jobs, worker_pool
 from repro.perf.shadow import ShadowStateIndex, ShadowStats
 
@@ -55,7 +51,6 @@ __all__ = [
     "ConflictMatrix",
     "ExecutionCache",
     "EvidenceBase",
-    "FlatTable",
     "ShadowStateIndex",
     "ShadowStats",
     "compile_adt",

@@ -9,9 +9,8 @@ registration time, in two compiled artefacts:
   :class:`~repro.core.table.CompatibilityTable` compiled into flat
   integer arrays over **dense operation ids**: a row-major ``bytes``
   code matrix (unconditional-ND / unconditional non-ND / conditional),
-  per-row unconditional-ND bitmasks (the
-  :class:`~repro.perf.flat_table.FlatTable` bitset folded into the same
-  id space), and a flat tuple of the live
+  per-row unconditional-ND bitmasks over the same id space, and a flat
+  tuple of the live
   :class:`~repro.core.entry.Entry` objects.  Admit/conflict decisions
   become index computations with zero string hashing; a whole peer
   transaction can be settled against one invocation by a single bitmask
@@ -30,11 +29,10 @@ names can never collide (covered by ``tests/perf/test_codegen.py``).
 
 Compiled executors are bit-identical to :func:`execute_uncached` by
 construction (same statements, prebound names); the transcript-parity
-property suites (``tests/property/test_compiled_parity.py`` plus the
-PR 3 reference suite) enforce it end to end.  The pure-Python paths
-remain the reference implementation, selected with
-``TableDrivenScheduler(compiled=False)`` / ``repro simulate
---no-compiled``.  See ``docs/PERFORMANCE.md`` ("Compiled dispatch").
+suite (``tests/property/test_scheduler_parity.py``) holds the scheduler
+built on them bit-identical to
+:class:`~repro.cc.reference.ReferenceScheduler` end to end.  See
+``docs/PERFORMANCE.md`` ("Compiled dispatch").
 """
 
 from __future__ import annotations

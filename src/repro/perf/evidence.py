@@ -14,15 +14,15 @@ once per process); executions it performs go through the installed
 :class:`~repro.perf.cache.ExecutionCache` when one is active, so the
 matrix itself is shared with any other consumer in the same process.
 
-The matrix build is **vectorized** by default (``compiled=True``): per
-invocation, the whole states column is produced by batched calls to the
-``exec``-generated :class:`~repro.perf.codegen.CompiledADT` executor
-over a preallocated result array —
+The matrix build is **vectorized**: per invocation, the whole states
+column is produced by batched calls to the ``exec``-generated
+:class:`~repro.perf.codegen.CompiledADT` executor over a preallocated
+result array —
 :meth:`~repro.perf.cache.ExecutionCache.get_or_execute_batch` when a
 cache is installed (two lock acquisitions per column instead of two per
-cell), a straight list fill otherwise.  ``compiled=False`` keeps the
-original per-pair :func:`~repro.spec.adt.execute_invocation` loop as the
-reference; both are bit-identical by construction.
+cell), a straight list fill otherwise.  The executors are bit-identical
+to :func:`~repro.spec.adt.execute_invocation` by construction
+(``tests/perf/test_codegen.py``).
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ class EvidenceBase:
         operations: Sequence[str] | None = None,
         bounds: EnumerationBounds | None = None,
         attribution: EdgeAttribution = EdgeAttribution.BOTH,
-        compiled: bool = True,
     ) -> None:
         self.adt = adt
         self.bounds = bounds or adt.default_bounds
@@ -86,37 +85,28 @@ class EvidenceBase:
         #: enumerated fragment through :meth:`execute`)
         self._matrix: dict[tuple[AbstractState, Invocation], Execution] = {}
         self._replay_memo: dict[tuple, AbstractState | None] = {}
-        compiled_adt = None
-        cache = None
-        if compiled:
-            from repro.perf.codegen import compile_adt
+        from repro.perf.codegen import compile_adt
 
-            compiled_adt = compile_adt(adt)
-            cache = active_execution_cache()
+        compiled_adt = compile_adt(adt)
+        cache = active_execution_cache()
         states = self._states
         for name in self.operations:
             per_invocation: dict[Invocation, list[Execution]] = {}
             for invocation in adt.invocations_of(name, self.bounds):
-                if compiled_adt is not None:
-                    executor = compiled_adt.executor(name, attribution)
-                    if cache is not None:
-                        executions = cache.get_or_execute_batch(
-                            adt,
-                            invocation,
-                            attribution,
-                            states,
-                            lambda state, _run=executor, _inv=invocation: _run(
-                                state, _inv
-                            ),
-                        )
-                    else:
-                        executions = [
-                            executor(state, invocation) for state in states
-                        ]
+                executor = compiled_adt.executor(name, attribution)
+                if cache is not None:
+                    executions = cache.get_or_execute_batch(
+                        adt,
+                        invocation,
+                        attribution,
+                        states,
+                        lambda state, _run=executor, _inv=invocation: _run(
+                            state, _inv
+                        ),
+                    )
                 else:
                     executions = [
-                        execute_invocation(adt, state, invocation, attribution)
-                        for state in states
+                        executor(state, invocation) for state in states
                     ]
                 for state, execution in zip(states, executions):
                     self._matrix[(state, invocation)] = execution

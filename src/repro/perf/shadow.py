@@ -29,10 +29,9 @@ attribution, the same key the derivation evidence uses), so repeated
 (state, invocation) steps are memoized and the ``execution_cache_*``
 metrics reflect runtime traffic too.
 
-With ``compiled=True`` (the compiled scheduler's setting) the index
-additionally keeps a per-object **transition memo** in front of the
-cache: ``invocation -> state -> Execution`` plain dicts, filled from the
-cache on first use.  Executions are deterministic, so the memo is a pure
+In front of the cache the index keeps a per-object **transition memo**:
+``invocation -> state -> Execution`` plain dicts, filled from the cache
+on first use.  Executions are deterministic, so the memo is a pure
 function and never needs epoch invalidation; what it saves is the
 per-step lock acquisition and the repeated hashing of the same
 :class:`~repro.spec.operation.Invocation` (one hash per
@@ -42,7 +41,7 @@ the cache, so the ``execution_cache_*`` metrics stay live.  The
 quarantine rung (``rebuild_fast_paths``) replaces the whole index, memo
 included, exactly as it discards the cache.  Fault campaigns that poison
 the cache also drop the memo (:meth:`ShadowStateIndex.chaos_drop_memo`),
-so the injected corruption stays reachable under compiled dispatch.
+so the injected corruption stays reachable.
 """
 
 from __future__ import annotations
@@ -67,8 +66,8 @@ class ShadowStats:
     #: Shadow states (re)built by a full log replay — first query for a
     #: transaction, or the first query after an epoch invalidation.
     shadow_full_replays: int = 0
-    #: State transitions served by the compiled front memo, skipping the
-    #: execution cache's lock and key hashing (``compiled=True`` only).
+    #: State transitions served by the transition memo, skipping the
+    #: execution cache's lock and key hashing.
     compiled_memo_hits: int = 0
 
 
@@ -102,22 +101,19 @@ class ShadowStateIndex:
     state never includes un-noted entries, and a rebuild must skip the
     entry under certification explicitly.
 
-    ``stats`` is any object with ``shadow_replays_avoided`` /
-    ``shadow_full_replays`` integer attributes — the scheduler passes its
-    ``SchedulerStats`` so the counters flow into the metrics registry
-    export unchanged.
+    ``stats`` is any object with ``shadow_replays_avoided``,
+    ``shadow_full_replays`` and ``compiled_memo_hits`` integer
+    attributes — the scheduler passes its ``SchedulerStats`` so the
+    counters flow into the metrics registry export unchanged.
     """
 
-    def __init__(self, cache=None, stats=None, compiled: bool = False) -> None:
+    def __init__(self, cache=None, stats=None) -> None:
         #: Optional :class:`~repro.perf.cache.ExecutionCache` consulted
         #: for every state transition.
         self.cache = cache
         self.stats = stats if stats is not None else ShadowStats()
-        #: Keep a per-object transition memo in front of the cache (the
-        #: compiled scheduler's setting; see the module docstring).
-        self.compiled = compiled
         self._objects: dict[str, _ObjectIndex] = {}
-        #: object name -> invocation -> state -> Execution (compiled only).
+        #: object name -> invocation -> state -> Execution.
         self._memo: dict[str, dict[Invocation, dict[AbstractState, object]]] = {}
 
     # ------------------------------------------------------------------
@@ -139,31 +135,24 @@ class ShadowStateIndex:
         index = self._objects[name]
         invocation = applied.invocation
         excluding = index.excluding
-        if self.compiled:
-            # One invocation hash for the whole batch; per-state steps
-            # are plain dict probes on the transition memo.
-            memo = self._memo[name]
-            per_invocation = memo.get(invocation)
-            if per_invocation is None:
-                per_invocation = memo[invocation] = {}
-            stats = self.stats
-            skip_txn = applied.txn
-            for txn, state in excluding.items():
-                if txn == skip_txn:
-                    continue
-                execution = per_invocation.get(state)
-                if execution is None:
-                    execution = self._execute(shared, state, invocation)
-                    per_invocation[state] = execution
-                else:
-                    stats.compiled_memo_hits += 1
-                excluding[txn] = execution.post_state
-            return
+        # One invocation hash for the whole batch; per-state steps are
+        # plain dict probes on the transition memo.
+        memo = self._memo[name]
+        per_invocation = memo.get(invocation)
+        if per_invocation is None:
+            per_invocation = memo[invocation] = {}
+        stats = self.stats
+        skip_txn = applied.txn
         for txn, state in excluding.items():
-            if txn != applied.txn:
-                excluding[txn] = self._execute(
-                    shared, state, invocation
-                ).post_state
+            if txn == skip_txn:
+                continue
+            execution = per_invocation.get(state)
+            if execution is None:
+                execution = self._execute(shared, state, invocation)
+                per_invocation[state] = execution
+            else:
+                stats.compiled_memo_hits += 1
+            excluding[txn] = execution.post_state
 
     def invalidate(self, name: str | None = None) -> None:
         """Discard maintained states (one object, or all of them).
@@ -189,15 +178,14 @@ class ShadowStateIndex:
             index.excluding.pop(txn, None)
 
     def chaos_drop_memo(self) -> None:
-        """Fault-injection hook: discard the compiled transition memo.
+        """Fault-injection hook: discard the transition memo.
 
         Cache-poison faults model corruption of the memoized execution
         records; the transition memo holds the same class of record in
         front of the cache and would otherwise shield a poisoned entry
         from every future read.  Dropping it forces subsequent
         transitions back through the (possibly poisoned) cache, so the
-        fault surface the robustness ladder defends is identical in both
-        dispatch modes.  No-op when the memo is empty (``compiled=False``).
+        fault surface the robustness ladder defends is the cache itself.
         """
         for per_object in self._memo.values():
             per_object.clear()
@@ -250,9 +238,7 @@ class ShadowStateIndex:
     ) -> ReturnValue:
         """What ``invocation`` would return had ``exclude_txn`` never run."""
         state = self.shadow_state(name, shared, exclude_txn, skip)
-        if self.compiled:
-            return self._memo_execute(name, shared, state, invocation).returned
-        return self._execute(shared, state, invocation).returned
+        return self._memo_execute(name, shared, state, invocation).returned
 
     # ------------------------------------------------------------------
     # Internals
@@ -268,7 +254,7 @@ class ShadowStateIndex:
     def _memo_execute(
         self, name: str, shared, state: AbstractState, invocation: Invocation
     ):
-        """The transition-memo front of :meth:`_execute` (compiled only)."""
+        """The transition-memo front of :meth:`_execute`."""
         memo = self._memo[name]
         per_invocation = memo.get(invocation)
         if per_invocation is None:

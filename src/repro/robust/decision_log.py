@@ -407,7 +407,6 @@ class LoggingScheduler:
             self.log,
             policy=self.inner.policy,
             scheduler_factory=scheduler_factory,
-            compiled=getattr(self.inner, "compiled", True),
         )
         recovered.tracer = self.inner.tracer
         recovered.now = self.inner.now
@@ -551,7 +550,6 @@ def recover(
     policy: str | None = None,
     scheduler_factory=None,
     verify: bool = True,
-    compiled: bool = True,
 ):
     """Reconstruct a scheduler from ``log`` by verified replay.
 
@@ -559,9 +557,7 @@ def recover(
     :class:`~repro.cc.scheduler.TableDrivenScheduler` under the log's
     recorded policy is built; the factory hook lets the degradation path
     recover into a :class:`~repro.cc.reference.ReferenceScheduler`
-    instead.  ``compiled`` must carry the crashed scheduler's dispatch
-    mode so that recovery does not silently flip a reference run onto
-    the compiled hot path (or vice versa).  The replay runs untraced;
+    instead.  The replay runs untraced;
     attach a tracer to the returned scheduler afterwards if the run is
     being traced.
     """
@@ -571,5 +567,5 @@ def recover(
         from repro.cc.scheduler import TableDrivenScheduler
 
         chosen = policy or log.policy or "optimistic"
-        scheduler = TableDrivenScheduler(policy=chosen, compiled=compiled)
+        scheduler = TableDrivenScheduler(policy=chosen)
     return replay_into(scheduler, log, verify=verify)

@@ -2,7 +2,7 @@
 
 The optimized scheduler owes its speed to derived structures — the
 :class:`~repro.perf.shadow.ShadowStateIndex`, the precompiled
-:class:`~repro.perf.flat_table.FlatTable`, the
+:class:`~repro.perf.codegen.ConflictMatrix`, the
 :class:`~repro.perf.cache.ExecutionCache` — every one of which is
 *redundant*: each can be rebuilt from the authoritative state (object
 logs, compatibility tables, operation specs).  Redundancy is what makes
@@ -35,7 +35,8 @@ On violation the monitor walks the **degradation ladder**:
 1. emit :class:`~repro.obs.events.InvariantViolated` (one per failed
    invariant) and count it;
 2. **quarantine** — ``rebuild_fast_paths()``: drop the shadow index,
-   clear the execution cache, recompile flat tables; recheck;
+   clear the execution cache, recompile the conflict matrices and
+   reset the peer indexes; recheck;
 3. **degrade** — replay the decision log into a bit-parity
    :class:`~repro.cc.reference.ReferenceScheduler` (no fast paths at
    all) and continue on it, emitting
@@ -338,13 +339,13 @@ class MonitoredScheduler(LoggingScheduler):
     def _degrade(self, reason: str) -> None:
         """Replace the wrapped scheduler by a reference replay of the log.
 
-        The reference scheduler maintains no shadow index, flat tables or
-        execution cache, so nothing the corrupted fast paths could have
-        touched survives; replay verification doubles as proof that every
-        decision already logged was fast-path-independent.  When it is
-        *not* — a corrupted fast path influenced a decision in the window
-        between two audits, so the log itself is tainted — no fallback
-        can reproduce the recorded history, and the ladder ends in
+        The reference scheduler maintains no shadow index, conflict
+        matrices or execution cache, so nothing the corrupted fast paths
+        could have touched survives; replay verification doubles as proof
+        that every decision already logged was fast-path-independent.
+        When it is *not* — a corrupted fast path influenced a decision in
+        the window between two audits, so the log itself is tainted — no
+        fallback can reproduce the recorded history, and the ladder ends in
         :class:`~repro.errors.InvariantViolationError` (tightening
         ``check_interval`` shrinks that window).
         """

@@ -2,9 +2,16 @@
 
 import pytest
 
+from repro.adts.account import AccountSpec
 from repro.adts.qstack import QStackSpec
 from repro.cc.objects import SharedObject
+from repro.perf.cache import execution_cache
+from repro.spec.adt import execute_invocation
 from repro.spec.operation import Invocation
+from repro.spec.returnvalue import ok
+
+DEPOSIT = Invocation("Deposit", (1,))
+WITHDRAW = Invocation("Withdraw", (1,))
 
 
 @pytest.fixture
@@ -70,6 +77,75 @@ class TestReplayRecovery:
 
     def test_initial_state_property(self, shared):
         assert shared.initial_state == ("a",)
+
+
+def undo_chain(depth: int) -> SharedObject:
+    """txn 0 deposits one unit; each later txn withdraws and redeposits it."""
+    shared = SharedObject("acct", AccountSpec(max_balance=100))
+    shared.execute(0, DEPOSIT)
+    for txn in range(1, depth + 1):
+        assert shared.execute(txn, WITHDRAW).returned == ok()
+        shared.execute(txn, DEPOSIT)
+    return shared
+
+
+class TestUndoCascades:
+    def test_undo_invalidates_one_link_per_round(self):
+        shared = undo_chain(depth=6)
+        # The invalidated survivor's operations stay in the log until it
+        # is itself removed, so the chain peels strictly one link at a
+        # time — the shape that made the scheduler's old recursive
+        # cascade O(depth) frames deep.
+        assert shared.remove_transactions({0}) == {1}
+
+    def test_iterated_undo_converges_and_restores_state(self):
+        depth = 10
+        shared = undo_chain(depth)
+        invalidated = shared.remove_transactions({0})
+        rounds = 0
+        while invalidated:
+            assert len(invalidated) == 1
+            invalidated = shared.remove_transactions(invalidated)
+            rounds += 1
+        assert rounds == depth
+        assert shared.state() == 0
+        assert shared.log() == []
+
+    def test_undo_of_independent_txns_invalidates_nothing(self):
+        shared = SharedObject("acct", AccountSpec(max_balance=100))
+        for txn in (0, 1, 2):
+            shared.execute(txn, DEPOSIT)
+        assert shared.remove_transactions({1}) == set()
+        assert shared.state() == 2
+
+    def test_replay_is_independent_of_cache_pressure(self):
+        def run(maxsize):
+            with execution_cache(maxsize=maxsize) as cache:
+                shared = undo_chain(depth=6)
+                rounds = []
+                invalidated = shared.remove_transactions({0})
+                while invalidated:
+                    rounds.append(sorted(invalidated))
+                    # Cross-check the rebuilt state against a replay of
+                    # the surviving log through the installed cache, then
+                    # evict mid-cascade.
+                    state = shared.initial_state
+                    for entry in shared.log():
+                        state = execute_invocation(
+                            shared.adt, state, entry.invocation
+                        ).post_state
+                    assert state == shared.state()
+                    cache.chaos_evict(count=3)
+                    invalidated = shared.remove_transactions(invalidated)
+                return rounds, shared.state(), cache.evictions
+
+        tiny_rounds, tiny_state, tiny_evictions = run(2)
+        roomy_rounds, roomy_state, _ = run(4096)
+        # A 2-entry cache must thrash on the cross-check replays; replay
+        # recovery itself never reads the cache, so nothing changes.
+        assert tiny_evictions > 0
+        assert tiny_rounds == roomy_rounds == [[t] for t in range(1, 7)]
+        assert tiny_state == roomy_state == 0
 
 
 class TestForget:

@@ -8,7 +8,12 @@ from repro.cc.validation import ValidationScheduler
 from repro.core.methodology import derive
 from repro.errors import SchedulerError, TransactionStateError
 from repro.experiments import golden
+from repro.perf.cache import ExecutionCache
 from repro.spec.operation import Invocation
+from repro.spec.returnvalue import ok
+
+DEPOSIT = Invocation("Deposit", (1,))
+WITHDRAW = Invocation("Withdraw", (1,))
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +107,61 @@ class TestValidation:
         scheduler.request(t1, "qs", Invocation("Pop"))
         assert scheduler.try_commit(t1)
         assert scheduler.stats.validations_skipped_by_table == 1
+
+
+def account_scheduler(execution_cache=None) -> ValidationScheduler:
+    adt = AccountSpec(max_balance=100)
+    scheduler = ValidationScheduler(execution_cache=execution_cache)
+    scheduler.register_object("acct", adt, derive(adt).final_table)
+    return scheduler
+
+
+class TestValidationRaces:
+    def test_racing_commit_rejects_the_stale_withdrawal(self):
+        scheduler = account_scheduler()
+        t0 = scheduler.begin()
+        assert scheduler.request(t0, "acct", DEPOSIT) == ok()
+        assert scheduler.try_commit(t0)
+        t1, t2 = scheduler.begin(), scheduler.begin()
+        # Both provisionally withdraw the unit t0 committed.
+        assert scheduler.request(t1, "acct", WITHDRAW) == ok()
+        assert scheduler.request(t2, "acct", WITHDRAW) == ok()
+        # t2 drains the account first; t1's observed ok() is now stale.
+        assert scheduler.try_commit(t2)
+        assert not scheduler.try_commit(t1)
+        assert scheduler.status(t1) == "aborted"
+        assert scheduler.stats.validation_aborts == 1
+        assert scheduler.object("acct").state() == 0
+
+    def test_validation_is_exact_under_a_tiny_cache(self):
+        def run(cache):
+            scheduler = account_scheduler(cache)
+            txns = [scheduler.begin() for _ in range(6)]
+            for txn in txns:
+                for invocation in (DEPOSIT, WITHDRAW, DEPOSIT):
+                    scheduler.request(txn, "acct", invocation)
+            committed = [scheduler.try_commit(txn) for txn in txns]
+            return committed, scheduler.object("acct").state()
+
+        tiny, roomy = ExecutionCache(maxsize=2), ExecutionCache(maxsize=4096)
+        tiny_result, roomy_result = run(tiny), run(roomy)
+        # The growing committed state makes every validation replay hit
+        # fresh (state, invocation) keys: a 2-entry cache must thrash.
+        assert tiny.evictions > 0
+        assert tiny_result == roomy_result == ([True] * 6, 6)
+
+    def test_chaos_eviction_mid_validation_never_changes_results(self):
+        cache = ExecutionCache(maxsize=64)
+        scheduler = account_scheduler(cache)
+        outcomes = []
+        for _ in range(8):
+            txn = scheduler.begin()
+            assert scheduler.request(txn, "acct", DEPOSIT) == ok()
+            assert scheduler.request(txn, "acct", WITHDRAW) == ok()
+            assert cache.chaos_evict(count=3) >= 0
+            outcomes.append(scheduler.try_commit(txn))
+        assert outcomes == [True] * 8
+        assert scheduler.object("acct").state() == 0
 
 
 class TestLifecycle:

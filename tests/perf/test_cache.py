@@ -94,6 +94,25 @@ class TestEviction:
             ExecutionCache(maxsize=0)
 
 
+class TestChaos:
+    def test_corruption_is_cache_confined_and_detectable(self):
+        adt = AccountSpec(max_balance=100)
+        deposit = Invocation("Deposit", (1,))
+        with execution_cache(maxsize=64) as cache:
+            honest = execute_invocation(adt, 0, deposit)
+            assert honest.post_state == 1
+            assert cache.chaos_corrupt()
+            # The poisoned entry now serves a stale post-state...
+            assert execute_invocation(adt, 0, deposit).post_state == 0
+            # ...but the uncached path — the one every recovery replay
+            # and invariant audit uses — is untouched by construction.
+            fresh = execute_uncached(adt, 0, deposit, EdgeAttribution.BOTH)
+            assert fresh.post_state == 1
+        # Outside the context the poisoned cache is uninstalled: the
+        # default path tells the truth again.
+        assert execute_invocation(adt, 0, deposit).post_state == 1
+
+
 class TestStats:
     def test_stats_snapshot(self):
         cache = ExecutionCache()

@@ -267,13 +267,6 @@ class TestRobustCommands:
         ]) == 0
         assert "serializable: True" in capsys.readouterr().out
 
-    def test_simulate_no_compiled_is_bit_identical(self, capsys):
-        argv = ["simulate", "Account", "--transactions", "5", "--seed", "3"]
-        assert main(argv) == 0
-        compiled = capsys.readouterr().out
-        assert main(argv + ["--no-compiled"]) == 0
-        assert capsys.readouterr().out == compiled
-
     def test_chaos_smoke(self, capsys):
         assert main([
             "chaos", "Account", "--policies", "optimistic",
@@ -304,19 +297,9 @@ class TestRobustCommands:
         # Plan 4 at seed 1 poisons a decision that gets logged, then a
         # crash fault forces recovery replay over the tainted log.  The
         # resulting divergence must surface as a reported finding, not a
-        # traceback.  (Which cache entry a poison lands on depends on
-        # access order, so each dispatch mode has its own reproducer.)
+        # traceback.
         assert main([
             "simulate", "Account", "--seed", "1", "--fault-plan", "4",
-        ]) == 1
-        captured = capsys.readouterr()
-        assert "unrecoverable:" in captured.err
-
-    def test_unrecoverable_divergence_on_the_reference_path(self, capsys):
-        # The reference-dispatch reproducer of the same failure mode.
-        assert main([
-            "simulate", "Account", "--seed", "3", "--fault-plan", "5",
-            "--no-compiled",
         ]) == 1
         captured = capsys.readouterr()
         assert "unrecoverable:" in captured.err
