@@ -45,7 +45,7 @@ from repro.obs.events import (
     RecoveryCompleted,
     RecoveryStarted,
 )
-from repro.spec.adt import ADTSpec, AbstractState
+from repro.spec.adt import ADTSpec, AbstractState, render_state
 
 __all__ = ["Transcript", "drive"]
 
@@ -275,7 +275,7 @@ def drive(
     # Re-fetched from the (possibly checkpoint-swapped) scheduler rather
     # than the registration-time object: after a crash swap the live
     # object belongs to the recovered scheduler.
-    final_state = repr(scheduler.object(object_name).state())
+    final_state = render_state(scheduler.object(object_name).state())
     return Transcript(
         op_decisions=tuple(ops),
         resolutions=tuple(resolutions),

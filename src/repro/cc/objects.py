@@ -6,7 +6,7 @@ an *operation log* — the global execution order of (transaction,
 invocation) pairs — which is the basis of recovery:
 
 When a transaction aborts, its operations are removed from the log and the
-remaining operations are **replayed from the initial state** (footnote 1
+remaining operations are **replayed from the baseline** (footnote 1
 of the paper: "p's changes have to be undone and possibly q's, and the
 changes of q must be reapplied").  Replay also *re-verifies* the return
 values of the surviving active transactions: if a surviving operation
@@ -15,6 +15,12 @@ transaction was invalidated, and the object reports those transactions so
 the scheduler can cascade the abort.  A sound compatibility table makes
 such collateral aborts impossible beyond the recorded AD edges — the
 property checked by the scheduler-soundness experiment (X5).
+
+Only entries of *active* transactions can ever need that replay.
+:meth:`SharedObject.compact` folds the longest prefix of resolved entries
+into the ``baseline`` (the low watermark), so the log — and every replay —
+is bounded by the active window rather than by history.  The state at
+registration stays available as ``initial_state`` for the serial audits.
 """
 
 from __future__ import annotations
@@ -67,6 +73,9 @@ class SharedObject:
         self._initial_state = (
             adt.initial_state() if initial_state is None else initial_state
         )
+        #: The recovery base: ``initial_state`` with every compacted log
+        #: prefix folded in.
+        self._baseline = self._initial_state
         self._graph: ObjectGraph = adt.build_graph(self._initial_state)
         self._log: list[AppliedOperation] = []
 
@@ -81,8 +90,18 @@ class SharedObject:
 
     @property
     def initial_state(self) -> AbstractState:
-        """The recovery baseline (the state all replays start from)."""
+        """The state at registration, never rebased.
+
+        The serial audits (``replay_serial``, the invariant monitor's
+        serial witness) replay committed transactions from here.  Recovery
+        replays from :attr:`baseline` instead.
+        """
         return self._initial_state
+
+    @property
+    def baseline(self) -> AbstractState:
+        """The recovery base: the state every replay of :meth:`log` starts from."""
+        return self._baseline
 
     def state(self) -> AbstractState:
         """The current abstract state."""
@@ -91,10 +110,6 @@ class SharedObject:
     def log(self) -> list[AppliedOperation]:
         """A copy of the operation log in execution order."""
         return list(self._log)
-
-    def operations_of(self, txn: TxnId) -> list[AppliedOperation]:
-        """Log entries belonging to one transaction."""
-        return [entry for entry in self._log if entry.txn == txn]
 
     def active_writers(self, exclude: TxnId) -> set[TxnId]:
         """Transactions (other than ``exclude``) present in the log."""
@@ -155,7 +170,7 @@ class SharedObject:
         the soundness experiments can detect violations.
         """
         survivors = [entry for entry in self._log if entry.txn not in txns]
-        self._graph = self.adt.build_graph(self._initial_state)
+        self._graph = self.adt.build_graph(self._baseline)
         invalidated: set[TxnId] = set()
         replayed: list[AppliedOperation] = []
         for entry in survivors:
@@ -175,39 +190,34 @@ class SharedObject:
         self._log = replayed
         return invalidated
 
-    def forget(self, txn: TxnId) -> None:
-        """Drop a committed transaction's log entries (its effects stay).
+    def compact(self, is_active) -> None:
+        """Fold the longest resolved log prefix into :attr:`baseline`.
 
-        Committed work no longer needs recovery bookkeeping; trimming the
-        log keeps replay costs proportional to the active population.  The
-        committed effects are preserved by re-basing the initial state on
-        the current live state when the log becomes empty of other entries.
+        ``is_active(txn)`` tells whether a transaction may still abort.
+        Entries before the first active one can never be replayed
+        differently, so they become part of the baseline and leave the
+        log.  Entries of resolved transactions interleaved after an
+        active one stay: undoing that transaction must replay them.
         """
-        remaining = [entry for entry in self._log if entry.txn != txn]
-        if not remaining:
-            # Everything still logged is committed state: fold it into the
-            # recovery baseline.
-            self._initial_state = self.state()
-            self._log = []
+        log = self._log
+        cut = 0
+        for entry in log:
+            if is_active(entry.txn):
+                break
+            cut += 1
+        if cut == 0:
             return
-        # Only safe to drop a prefix: committed entries that precede every
-        # surviving active entry can be folded into the baseline.
-        kept = list(self._log)
-        while kept and kept[0].txn == txn:
-            kept.pop(0)
-        if len(kept) < len(self._log):
-            prefix = self._log[: len(self._log) - len(kept)]
-            baseline = self.adt.build_graph(self._initial_state)
-            for entry in prefix:
-                view = InstrumentedGraph(baseline, attribution=self.attribution)
+        if cut == len(log):
+            # Everything logged is resolved: the live state is the base.
+            self._baseline = self.state()
+        else:
+            graph = self.adt.build_graph(self._baseline)
+            for entry in log[:cut]:
+                view = InstrumentedGraph(graph, attribution=self.attribution)
                 operation = self.adt.operation(entry.invocation.operation)
                 operation.execute(view, *entry.invocation.args)
-            self._initial_state = self.adt.abstract_state(baseline)
-            self._log = kept
-        # Entries of ``txn`` interleaved after active entries must remain in
-        # the log (they are needed to replay correctly around the active
-        # transactions); they are labelled committed implicitly by the
-        # scheduler's transaction table.
+            self._baseline = self.adt.abstract_state(graph)
+        del log[:cut]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SharedObject {self.name} state={self.state()!r}>"

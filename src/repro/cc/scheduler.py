@@ -383,7 +383,10 @@ class TableDrivenScheduler:
         self._objects: dict[str, _RegisteredObject] = {}
         #: Per-object incremental peer index.
         self._peers: dict[str, _PeerIndex] = {}
+        #: Every transaction ever begun (the audits walk ids); the active
+        #: ones are also in ``_active``, kept in step with their status.
         self._txns: dict[TxnId, Transaction] = {}
+        self._active: set[TxnId] = set()
         self._deps = DependencyGraph()
         self._wait_for: dict[TxnId, set[TxnId]] = {}
         self._shadow = ShadowStateIndex(
@@ -453,6 +456,7 @@ class TableDrivenScheduler:
         txn_id = self._next_txn
         self._next_txn += 1
         self._txns[txn_id] = Transaction(txn_id=txn_id)
+        self._active.add(txn_id)
         if self.tracer:
             self.tracer.emit(TxnBegun(time=self.now, txn=txn_id))
         return txn_id
@@ -466,7 +470,7 @@ class TableDrivenScheduler:
 
     def active_transactions(self) -> set[TxnId]:
         """Ids of all currently active transactions."""
-        return {tid for tid, txn in self._txns.items() if txn.is_active}
+        return set(self._active)
 
     def shadow_index(self) -> ShadowStateIndex:
         """The live shadow-state index (introspection for tests/tools)."""
@@ -643,6 +647,7 @@ class TableDrivenScheduler:
                     committed=False, waiting_on=frozenset(waiting)
                 )
             transaction.status = TransactionStatus.COMMITTED
+            self._active.discard(txn)
             self._commit_counter += 1
             transaction.commit_sequence = self._commit_counter
             self._wait_for.pop(txn, None)
@@ -652,6 +657,11 @@ class TableDrivenScheduler:
             for name in self._objects:
                 self._shadow.forget(name, txn)
                 self._peers[name].by_txn.pop(txn, None)
+            # The commit can only advance the low watermark of objects
+            # the transaction wrote to.
+            is_active = self._active.__contains__
+            for name in {record.object_name for record in transaction.records}:
+                self._objects[name].shared.compact(is_active)
             if self.tracer:
                 self.tracer.emit(
                     TxnCommitted(
@@ -711,6 +721,7 @@ class TableDrivenScheduler:
         all_aborting = {txn} | cascade
         for t in all_aborting:
             self._txns[t].status = TransactionStatus.ABORTED
+            self._active.discard(t)
             self._wait_for.pop(t, None)
             # Conflict telemetry: attribute the abort to the last object
             # the transaction touched (the same heuristic the offline
@@ -731,11 +742,14 @@ class TableDrivenScheduler:
             for t in sorted(cascade):
                 self.tracer.emit(CascadeAborted(time=self.now, txn=t, root=txn))
         collateral: set[TxnId] = set()
+        is_active = self._active.__contains__
         for registered in self._objects.values():
-            invalidated = registered.shared.remove_transactions(all_aborting)
-            collateral |= {
-                t for t in invalidated if self.transaction(t).is_active
-            }
+            shared = registered.shared
+            invalidated = shared.remove_transactions(all_aborting)
+            collateral |= {t for t in invalidated if is_active(t)}
+            # The aborted entries may have been all that held resolved
+            # work above the low watermark.
+            shared.compact(is_active)
         # The rollback rewrote every object's log; every maintained
         # shadow state — and every peer-index entry, whose log objects
         # were replaced by the replay — is stale.  Epoch-invalidate and

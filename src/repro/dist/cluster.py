@@ -45,6 +45,7 @@ from repro.obs.events import FaultInjected, NodeCrashed, NodeRecovered
 from repro.obs.latency import LatencyRecorder
 from repro.obs.spans import _NO_CONTEXT, SpanEmitter, trace_id_for
 from repro.obs.tracers import NULL_TRACER
+from repro.spec.adt import render_state
 
 from repro.dist.audit import stitch_edges
 from repro.dist.bus import SimBus, SimCrash
@@ -583,7 +584,7 @@ class Cluster:
             for gtxn in range(admitted)
         )
         final_states = tuple(
-            (shard, repr(self._shard_object(shard).state()))
+            (shard, render_state(self._shard_object(shard).state()))
             for shard in self.shard_names
         )
         totals: dict[str, int] = {}

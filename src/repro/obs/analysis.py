@@ -315,7 +315,7 @@ def _replay(run: TracedRun, adts: dict[str, Any], order: Sequence[int]) -> bool:
     return value must be reproduced, and — when the trace recorded final
     states — the replayed final states must match them.
     """
-    from repro.spec.adt import execute_invocation
+    from repro.spec.adt import execute_invocation, render_state
     from repro.spec.operation import Invocation
     from repro.spec.returnvalue import ReturnValue
 
@@ -332,7 +332,7 @@ def _replay(run: TracedRun, adts: dict[str, Any], order: Sequence[int]) -> bool:
                 return False
             states[op.object_name] = execution.post_state
     for object_name, final_repr in run.final_states.items():
-        if object_name in states and repr(states[object_name]) != final_repr:
+        if object_name in states and render_state(states[object_name]) != final_repr:
             return False
     return True
 

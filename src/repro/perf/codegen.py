@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import inspect
 import threading
-import weakref
 from array import array
 
 from repro.core.dependency import Dependency
@@ -244,29 +243,37 @@ class CompiledADT:
                     self._executors[key] = executor
         return executor
 
+    def __reduce__(self):
+        # Generated executors and the lock do not pickle: a copied spec
+        # (a ``spawn`` worker's initargs) compiles afresh on first use.
+        return (_uncompiled, ())
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CompiledADT {self.adt.name} ops={list(self.operations)}>"
 
 
-#: Process-wide memo of compiled ADTs, keyed by spec *identity* (same
-#: rationale as the execution cache: two instances of one spec class are
-#: never conflated).  Weak keys, so a compiled ADT never outlives its
-#: spec.
-_COMPILED: "weakref.WeakKeyDictionary[ADTSpec, CompiledADT]" = (
-    weakref.WeakKeyDictionary()
-)
+def _uncompiled() -> None:
+    return None
+
+
+#: The spec attribute holding its compiled form.  Memoized on the spec
+#: *instance* (same rationale as the execution cache: two instances of
+#: one spec class are never conflated), so the compiled form dies with
+#: its spec.  A process-wide weak-keyed map cannot do that: its values
+#: (executors prebound to the spec's methods) would keep every key alive.
+_COMPILED_ATTR = "_compiled_dispatch"
 _COMPILED_LOCK = threading.Lock()
 
 
 def compile_adt(adt: ADTSpec) -> CompiledADT:
     """The (memoized) compiled form of one ADT spec instance."""
-    compiled = _COMPILED.get(adt)
+    compiled = getattr(adt, _COMPILED_ATTR, None)
     if compiled is None:
         with _COMPILED_LOCK:
-            compiled = _COMPILED.get(adt)
+            compiled = getattr(adt, _COMPILED_ATTR, None)
             if compiled is None:
                 compiled = CompiledADT(adt)
-                _COMPILED[adt] = compiled
+                setattr(adt, _COMPILED_ATTR, compiled)
     return compiled
 
 

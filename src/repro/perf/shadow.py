@@ -15,6 +15,12 @@ maintained state by exactly one (memoized) execution — O(active) per
 request — and a shadow query is then a single execution against the
 maintained state.
 
+Rebuilds replay from the object's baseline (its low watermark, see
+:meth:`repro.cc.objects.SharedObject.compact`), not from its initial
+state, so a rebuild costs O(active window).  Compaction folds only
+resolved entries, never an entry of a transaction the index maintains a
+state for, so it leaves every maintained state valid.
+
 Invalidation is by **epoch**: aborts rewrite the log wholesale
 (:meth:`repro.cc.objects.SharedObject.remove_transactions` erases the
 aborted transactions' entries and replays the survivors), so any abort
@@ -268,7 +274,13 @@ class ShadowStateIndex:
         return execution
 
     def _replay_without(self, shared, exclude_txn: int, skip) -> AbstractState:
-        state = shared.initial_state
+        """Replay the log without ``exclude_txn``, from the baseline.
+
+        Compaction never folds an active transaction's entries into the
+        baseline, so for the active transactions the index serves this
+        equals a replay of the full history from the initial state.
+        """
+        state = shared.baseline
         for entry in shared.log():
             if entry is skip or entry.txn == exclude_txn:
                 continue

@@ -253,7 +253,7 @@ class MonitoredScheduler(LoggingScheduler):
         for name in self.inner.object_names():
             shared = self.inner.object(name)
             for txn, state in sorted(shadow.maintained(name).items()):
-                fresh = shared.initial_state
+                fresh = shared.baseline
                 for entry in shared.log():
                     if entry.txn == txn:
                         continue

@@ -729,11 +729,58 @@ class ServingLoop:
                 for step in request.steps
             )
 
+        def place(entry) -> str:
+            """Park, breaker-shed or admit one due entry that fits this tick.
+
+            Returns ``"parked"``, ``"shed"`` or ``"admitted"``.
+            """
+            available, rid, request = entry
+            if self._pending_switch and parked_objects(request):
+                # A policy switch is draining one of this request's
+                # objects: hold it back until the switch applies.
+                for name in {step.object_name for step in request.steps}:
+                    if name in self._pending_switch:
+                        self._pending_switch[name].parked.append(entry)
+                        break
+                return "parked"
+            if board is not None and not board.allow(
+                sorted({step.object_name for step in request.steps}), now
+            ):
+                shed_request(entry, "breaker")
+                return "shed"
+            txn = backend.begin()
+            self._note_admission(request, txn, now)
+            request_txns.setdefault(rid, []).append(txn)
+            runner = _Runner(request, txn, available, now)
+            inflight[txn] = runner
+            wake(runner)
+            return "admitted"
+
         def admit_due() -> bool:
-            # Pop everything due: the backlog drives the degradation
-            # ladder, and sheds must apply even when in-flight capacity
-            # is full.  Entries that survive but don't fit this tick go
-            # straight back into the queue.
+            """Admit (or shed) the due head of the admission queue.
+
+            With a shed ladder or a deadline policy, everything due is
+            popped: the backlog drives the ladder, and sheds must apply
+            even when in-flight capacity is full.  Entries that survive
+            but don't fit this tick go straight back into the queue.
+            Without either, no shed rule can reach a held entry, so the
+            queue is popped only until capacity runs out — capacity never
+            loosens within a tick — and held entries stay in the heap.
+            The outcomes are the same either way.
+            """
+            changed = False
+            admitted_now = 0
+            if ladder is None and policy is None:
+                while (
+                    pending
+                    and pending[0][0] <= now
+                    and len(inflight) < self.max_inflight
+                    and admitted_now < self.batch_size
+                ):
+                    placed = place(heapq.heappop(pending))
+                    changed |= placed != "parked"
+                    admitted_now += placed == "admitted"
+                return changed
             due: list[tuple[float, int, Request]] = []
             while pending and pending[0][0] <= now:
                 due.append(heapq.heappop(pending))
@@ -742,8 +789,6 @@ class ServingLoop:
             if ladder is not None:
                 level = ladder.update(len(due), now)
                 overflow = len(due) - self.shedding.queue_limit
-            changed = False
-            admitted_now = 0
             hold: list[tuple[float, int, Request]] = []
             for entry in due:  # heap pops: oldest (earliest due) first
                 available, rid, request = entry
@@ -781,30 +826,9 @@ class ServingLoop:
                 ):
                     hold.append(entry)
                     continue
-                if self._pending_switch and parked_objects(request):
-                    # A policy switch is draining one of this request's
-                    # objects: hold it back until the switch applies.
-                    for name in {step.object_name for step in request.steps}:
-                        if name in self._pending_switch:
-                            self._pending_switch[name].parked.append(
-                                (available, rid, request)
-                            )
-                            break
-                    continue
-                if board is not None and not board.allow(
-                    sorted({step.object_name for step in request.steps}), now
-                ):
-                    shed_request(entry, "breaker")
-                    changed = True
-                    continue
-                txn = backend.begin()
-                self._note_admission(request, txn, now)
-                request_txns.setdefault(rid, []).append(txn)
-                runner = _Runner(request, txn, available, now)
-                inflight[txn] = runner
-                wake(runner)
-                admitted_now += 1
-                changed = True
+                placed = place(entry)
+                changed |= placed != "parked"
+                admitted_now += placed == "admitted"
             for entry in hold:
                 heapq.heappush(pending, entry)
             return changed

@@ -36,12 +36,31 @@ __all__ = [
     "Execution",
     "execute_invocation",
     "post_state_of",
+    "render_state",
     "install_execution_cache",
     "active_execution_cache",
 ]
 
 #: Abstract states are opaque hashable values.
 AbstractState = Hashable
+
+
+def render_state(state: AbstractState) -> str:
+    """``repr(state)`` with every frozenset's members in sorted order.
+
+    Equal set-valued states can iterate — and so ``repr`` — in different
+    orders, depending on how they were built and on string hashing.
+    Transcripts render states with this instead, so equal states always
+    render equal.
+    """
+    if type(state) is frozenset and state:
+        inner = ", ".join(render_state(member) for member in sorted(state))
+        return f"frozenset({{{inner}}})"
+    if type(state) is tuple:
+        if len(state) == 1:
+            return f"({render_state(state[0])},)"
+        return f"({', '.join(render_state(member) for member in state)})"
+    return repr(state)
 
 
 @dataclass(frozen=True)

@@ -52,12 +52,6 @@ class TestQueries:
         graph.add(3, 0, Dependency.CD)
         assert graph.abort_dependents(0) == {2}
 
-    def test_drop_removes_incident_edges(self, graph):
-        graph.add(1, 0, Dependency.AD)
-        graph.add(2, 1, Dependency.CD)
-        graph.drop(1)
-        assert graph.edges() == {}
-
 
 class TestCascade:
     def test_transitive_cascade(self, graph):

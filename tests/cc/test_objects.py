@@ -30,12 +30,6 @@ class TestExecution:
         shared.execute(1, Invocation("Pop"))
         assert [entry.txn for entry in shared.log()] == [0, 1]
 
-    def test_operations_of(self, shared):
-        shared.execute(0, Invocation("Push", ("b",)))
-        shared.execute(1, Invocation("Pop"))
-        assert len(shared.operations_of(0)) == 1
-        assert len(shared.operations_of(2)) == 0
-
     def test_active_writers(self, shared):
         shared.execute(0, Invocation("Push", ("b",)))
         shared.execute(1, Invocation("Pop"))
@@ -148,30 +142,56 @@ class TestUndoCascades:
         assert tiny_state == roomy_state == 0
 
 
-class TestForget:
-    def test_forget_sole_transaction_rebases(self, shared):
+class TestCompact:
+    def test_full_fold_rebases_baseline(self, shared):
         shared.execute(0, Invocation("Push", ("b",)))
-        shared.forget(0)
+        shared.compact(lambda txn: False)
         assert shared.log() == []
-        assert shared.initial_state == ("a", "b")
+        assert shared.baseline == ("a", "b")
         assert shared.state() == ("a", "b")
 
-    def test_forget_prefix_only(self, shared):
+    def test_prefix_fold_keeps_active_suffix(self, shared):
         shared.execute(0, Invocation("Push", ("b",)))
         shared.execute(1, Invocation("Push", ("a",)))
-        shared.forget(0)
-        # txn 0's entry preceded every surviving entry: folded into the
+        shared.compact(lambda txn: txn == 1)
+        # txn 0's entry preceded every active entry: folded into the
         # baseline; txn 1's entry remains.
         assert [entry.txn for entry in shared.log()] == [1]
-        assert shared.initial_state == ("a", "b")
+        assert shared.baseline == ("a", "b")
+        assert shared.state() == ("a", "b", "a")
 
-    def test_forget_interleaved_keeps_later_entries(self, shared):
+    def test_interleaved_resolved_entries_kept(self, shared):
         shared.execute(1, Invocation("Push", ("a",)))
         shared.execute(0, Invocation("Push", ("b",)))
-        shared.forget(0)
+        shared.compact(lambda txn: txn == 1)
         # txn 0 executed after the active txn 1: both entries must stay
         # so that undoing txn 1 still replays correctly.
         assert [entry.txn for entry in shared.log()] == [1, 0]
-        # and a subsequent abort of txn 1 replays txn 0's push alone
-        shared.remove_transactions({1})
-        assert shared.state() == ("a", "b")
+        assert shared.baseline == ("a",)
+
+    def test_abort_after_compaction_replays_from_baseline(self, shared):
+        shared.execute(0, Invocation("Push", ("b",)))
+        shared.execute(0, Invocation("Deq"))
+        shared.execute(1, Invocation("Push", ("c",)))
+        shared.execute(2, Invocation("Push", ("d",)))
+        shared.compact(lambda txn: txn == 1)
+        assert [entry.txn for entry in shared.log()] == [1, 2]
+        assert shared.baseline == ("b",)
+        assert shared.remove_transactions({1}) == set()
+        # Replay starts from the baseline: txn 0's folded work survives.
+        assert shared.state() == ("b", "d")
+        assert [entry.txn for entry in shared.log()] == [2]
+
+    def test_initial_state_unchanged(self, shared):
+        shared.execute(0, Invocation("Push", ("b",)))
+        shared.execute(1, Invocation("Push", ("c",)))
+        shared.compact(lambda txn: txn == 1)
+        shared.compact(lambda txn: False)
+        assert shared.baseline == ("a", "b", "c")
+        assert shared.initial_state == ("a",)
+
+    def test_nothing_resolved_is_a_no_op(self, shared):
+        shared.execute(0, Invocation("Push", ("b",)))
+        shared.compact(lambda txn: True)
+        assert len(shared.log()) == 1
+        assert shared.baseline == ("a",)

@@ -21,6 +21,9 @@ Covers the tentpole's correctness edges:
 
 from __future__ import annotations
 
+import gc
+import pickle
+import weakref
 from typing import Any, Iterable, Mapping
 
 import pytest
@@ -285,6 +288,28 @@ def test_compile_adt_memoizes_by_identity():
     assert compile_adt(a) is not compile_adt(b)
     compiled = compile_adt(a)
     assert compiled.executor("Tick") is compiled.executor("Tick")
+
+
+def test_compiled_form_dies_with_its_spec():
+    # Generated executors are prebound to the spec's methods; a memo that
+    # outlived the spec would keep one compiled ADT per derivation alive.
+    adt = CounterSpec(ops=("Tick",))
+    compile_adt(adt).executor("Tick")
+    spec_ref = weakref.ref(adt)
+    del adt
+    gc.collect()
+    assert spec_ref() is None
+
+
+def test_copied_spec_compiles_afresh():
+    adt = make_adt("Account")
+    invocation = Invocation(operation="Deposit", args=(1,))
+    compiled_execute(adt, 0, invocation, EdgeAttribution.BOTH)
+    clone = pickle.loads(pickle.dumps(adt))
+    assert compile_adt(clone) is not compile_adt(adt)
+    assert compiled_execute(
+        clone, 0, invocation, EdgeAttribution.BOTH
+    ) == compiled_execute(adt, 0, invocation, EdgeAttribution.BOTH)
 
 
 def test_compiled_execute_is_a_drop_in_miss_handler():

@@ -17,6 +17,11 @@ Coverage: every builtin ADT x both policies x 20 seeded workloads each
 (with voluntary aborts and varying concurrency, so cascades, blocking,
 deadlock victims, peer-index invalidation and replay invalidation all
 appear in the stream).
+
+The reference never compacts its object logs, so the same grid is the
+"compaction off" oracle for low-watermark folding; along it the compacted
+scheduler must also keep its incremental active set exact and pass the
+serializability and shadow-freshness audits.
 """
 
 from __future__ import annotations
@@ -27,8 +32,11 @@ from repro.adts.registry import builtin_names, make_adt
 from repro.cc.harness import drive
 from repro.cc.reference import ReferenceScheduler
 from repro.cc.scheduler import TableDrivenScheduler
+from repro.cc.serializability import is_serializable
 from repro.cc.workload import WorkloadConfig, generate
 from repro.core.methodology import derive
+from repro.errors import SchedulerError
+from repro.robust.monitor import MonitoredScheduler
 
 SEEDS = range(20)
 
@@ -78,6 +86,53 @@ def test_transcripts_identical(adt_name, policy):
         assert optimized == reference, (
             f"{adt_name}/{policy}/seed={seed}: transcripts diverge"
         )
+
+
+def _scanned_active(scheduler) -> set[int]:
+    """The active set the slow way: every transaction ever begun."""
+    active = set()
+    txn = 0
+    while True:
+        try:
+            transaction = scheduler.transaction(txn)
+        except SchedulerError:
+            return active
+        if transaction.is_active:
+            active.add(txn)
+        txn += 1
+
+
+def _assert_compacted_invariants(scheduler) -> None:
+    active = _scanned_active(scheduler)
+    assert scheduler.active_transactions() == active
+    for name in scheduler.object_names():
+        log = scheduler.object(name).log()
+        # The low watermark: no resolved entry heads a log.
+        assert not log or log[0].txn in active
+    assert MonitoredScheduler(scheduler).check_invariants() == []
+
+
+@pytest.mark.parametrize("adt_name", builtin_names())
+@pytest.mark.parametrize("policy", ["optimistic", "blocking"])
+def test_compacted_runs_keep_invariants(adt_name, policy):
+    adt = make_adt(adt_name)
+    table = _table(adt)
+    for seed in SEEDS:
+        workload, concurrency = _workload(adt, seed)
+        scheduler = TableDrivenScheduler(policy=policy)
+        drive(
+            scheduler,
+            adt,
+            table,
+            workload,
+            concurrency=concurrency,
+            checkpoint=lambda _, current: _assert_compacted_invariants(current),
+        )
+        _assert_compacted_invariants(scheduler)
+        assert is_serializable(scheduler)
+        shared = scheduler.object("obj")
+        assert shared.log() == []
+        assert shared.baseline == shared.state()
 
 
 def test_optimizations_actually_engage():

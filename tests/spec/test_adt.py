@@ -4,7 +4,7 @@ import pytest
 
 from repro.adts.qstack import QStackSpec
 from repro.errors import UnknownOperationError
-from repro.spec.adt import EnumerationBounds, execute_invocation
+from repro.spec.adt import EnumerationBounds, execute_invocation, render_state
 from repro.spec.operation import Invocation
 
 
@@ -81,3 +81,18 @@ class TestExecuteInvocation:
         for state in qstack_full.state_list():
             graph = qstack_full.build_graph(state)
             assert qstack_full.abstract_state(graph) == state
+
+
+class TestRenderState:
+    def test_equal_sets_render_equal_whatever_the_build_order(self):
+        # 8 and 16 share a hash slot, so insertion order decides iteration.
+        first, second = frozenset([8, 16]), frozenset([16, 8])
+        assert first == second and repr(first) != repr(second)
+        assert render_state(first) == render_state(second) == "frozenset({8, 16})"
+
+    def test_nested_and_plain_states_render_as_repr(self):
+        assert render_state((frozenset([16, 8]),)) == "(frozenset({8, 16}),)"
+        assert render_state(("a", 1)) == repr(("a", 1))
+        assert render_state(()) == "()"
+        assert render_state(frozenset()) == "frozenset()"
+        assert render_state(5) == "5"
