@@ -12,9 +12,9 @@ Commands:
   ``--metrics-format {json,prom}`` exports the run's metrics registry,
   ``--fault-plan SEED`` injects a reproducible fault storm under the
   decision log + invariant monitor).
-* ``chaos <ADT...>`` — chaos campaign: exhaustive crash-point sweep and
-  seeded fault storms over an ADT × policy × seed matrix, emitting a
-  byte-stable JSON report.
+* ``chaos <ADT...>`` — run the chaos scenario table (fault storms,
+  crash-point sweeps, cluster, serving and replication rows) with
+  safety/liveness verdicts, emitting a byte-stable JSON report.
 * ``trace <file>`` — analyse a recorded trace: summary, per-transaction
   timeline, per-table-entry firing histogram.
 * ``report <file>`` — observability dashboard from a recorded trace:
@@ -317,45 +317,17 @@ def _simulate_distributed(args: argparse.Namespace, adt, table) -> int:
     return 0 if audit.passed else 1
 
 
-def _chaos_passed(report: dict) -> bool:
-    """The chaos exit-code gate: the top-level verdict AND every
-    embedded sub-campaign verdict.
-
-    ``run_chaos`` already folds the distributed/serving/replication
-    verdicts into ``report["passed"]``, but the exit code is the CI
-    contract — re-AND the embedded verdicts here so a regression in
-    that folding (or a hand-assembled report) can never turn a failing
-    sub-campaign into a zero exit.
-    """
-    passed = bool(report.get("passed"))
-    for section in ("distributed", "serving", "replication"):
-        embedded = report.get(section)
-        if embedded is not None:
-            passed = passed and bool(embedded.get("passed"))
-    return passed
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.robust import FaultSpec, render_report, run_chaos
+    from repro import chaos
 
     adts = {}
     for name in args.adts:
         adt = make_adt(name)
         adts[name] = (adt, derive(adt).final_table)
-    report = run_chaos(
-        adts,
-        policies=tuple(args.policies),
-        seeds=tuple(args.seeds),
-        transactions=args.transactions,
-        operations=args.operations,
-        spec=FaultSpec.storm(args.intensity),
-        crash_sweep_enabled=not args.no_crash_sweep,
-        distributed=args.dist,
-        shard_counts=tuple(args.shards),
-        serving=args.serve,
-        replication=args.replication,
+    report = chaos.run_chaos(
+        adts, seeds=None if args.seeds is None else tuple(args.seeds)
     )
-    rendered = render_report(report)
+    rendered = chaos.render_report(report)
     if args.report:
         try:
             with open(args.report, "w", encoding="utf-8") as stream:
@@ -366,47 +338,25 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"report: {args.report}")
     else:
         print(rendered, end="")
-    sweeps = [cell.get("crash_sweep") for cell in report["cells"]]
-    swept = sum(sweep["decision_points"] for sweep in sweeps if sweep)
-    summary = (
-        f"chaos: cells={len(report['cells'])} crash_points={swept} "
+    rows = report["rows"]
+
+    def total(scenario: str, key: str) -> int:
+        return sum(
+            row["evidence"][key] for row in rows if row["scenario"] == scenario
+        )
+
+    per_scenario = " ".join(
+        f"{name}={sum(row['scenario'] == name for row in rows)}"
+        for name in dict.fromkeys(row["scenario"] for row in rows)
+    )
+    print(
+        f"chaos: rows={len(rows)} {per_scenario} "
+        f"failed={sum(not row['passed'] for row in rows)} "
+        f"crash_points={total('sweep', 'decision_points')} "
+        f"protocol_crash_points={total('dist_sweep', 'points_reached')} "
         f"passed={report['passed']}"
     )
-    if args.dist:
-        dist = report["distributed"]
-        dist_swept = sum(
-            sweep["points_reached"] for sweep in dist.get("crash_sweeps", ())
-        )
-        summary += (
-            f" dist_cells={len(dist['cells'])} dist_crash_points={dist_swept}"
-        )
-    if args.serve:
-        serving = report["serving"]
-        worst = min(
-            (group["goodput_ratio"] for group in serving["groups"]),
-            default=0.0,
-        )
-        summary += (
-            f" serving_groups={len(serving['groups'])} "
-            f"worst_goodput_ratio={worst:.3f} "
-            f"serving_passed={serving['passed']}"
-        )
-    if args.replication:
-        replication = report["replication"]
-        scenarios = [
-            scenario
-            for cell in replication["cells"]
-            for scenario in cell["scenarios"].values()
-        ]
-        fenced = sum(s["fenced_messages"] for s in scenarios)
-        views = sum(s["view_changes"] for s in scenarios)
-        summary += (
-            f" replication_cells={len(replication['cells'])} "
-            f"view_changes={views} fenced={fenced} "
-            f"replication_passed={replication['passed']}"
-        )
-    print(summary)
-    return 0 if _chaos_passed(report) else 1
+    return 0 if report["passed"] else 1
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -589,55 +539,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="chaos campaign: crash-point sweep + fault storms over a matrix",
+        help="chaos scenario table: fault storms, crash sweeps, cluster, "
+             "serving and replication rows with safety/liveness verdicts",
     )
     chaos.add_argument(
         "adts", nargs="+", choices=builtin_names(),
         help="ADTs to sweep (each derives its own table)",
     )
     chaos.add_argument(
-        "--policies", nargs="+", default=["optimistic", "blocking"],
-        choices=("optimistic", "blocking"),
-    )
-    chaos.add_argument(
-        "--seeds", nargs="+", type=int, default=[1991],
-        help="workload seeds (one cell per ADT x policy x seed)",
-    )
-    chaos.add_argument("--transactions", type=int, default=6)
-    chaos.add_argument("--operations", type=int, default=3)
-    chaos.add_argument(
-        "--intensity", type=float, default=0.05,
-        help="fault-storm per-consult rate (default 0.05)",
-    )
-    chaos.add_argument(
-        "--no-crash-sweep", action="store_true",
-        help="skip the per-decision-point crash sweep (storms only)",
+        "--seeds", nargs="+", type=int, default=None,
+        help="override every scenario row's seeds (default: each row's "
+             "own CI seeds)",
     )
     chaos.add_argument(
         "--report", metavar="FILE", default=None,
         help="write the byte-stable JSON report to FILE instead of stdout",
-    )
-    chaos.add_argument(
-        "--dist", action="store_true",
-        help="also run the distributed campaign: message storms over "
-             "sharded clusters plus the protocol crash-point sweep",
-    )
-    chaos.add_argument(
-        "--shards", nargs="+", type=int, default=[1, 2], metavar="N",
-        help="shard counts of the distributed campaign (default: 1 2)",
-    )
-    chaos.add_argument(
-        "--serve", action="store_true",
-        help="also run the serving campaign: overload plus faults "
-             "against the hardened serving loop, gated on graceful "
-             "degradation and no-resurrection certification",
-    )
-    chaos.add_argument(
-        "--replication", action="store_true",
-        help="also run the replicated-failover campaign: primary kills "
-             "mid-2PC, partition-then-heal, dueling-primary fencing and "
-             "backup-crash storms over replica groups, gated on zero "
-             "committed-transaction loss and the global audit",
     )
     chaos.set_defaults(func=_cmd_chaos)
 

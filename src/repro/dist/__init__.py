@@ -24,13 +24,12 @@ protocol must carry across nodes.  The pieces:
   the bare scheduler harness.
 * :mod:`~repro.dist.audit` — stitches per-node histories into one global
   history and re-checks it with the existing serializability machinery.
-* :mod:`~repro.dist.crash` / :mod:`~repro.dist.chaos` — the exhaustive
-  distributed crash-point sweep and the distributed chaos campaign.
+* :mod:`~repro.dist.crash` — the exhaustive distributed crash-point
+  sweep (the ``dist_sweep`` row of the chaos table in :mod:`repro.chaos`).
 """
 
 from repro.dist.audit import GlobalAudit, StitchedRun, audit_global, stitch_edges
 from repro.dist.bus import Message, SimBus, SimCrash
-from repro.dist.chaos import run_dist_chaos
 from repro.dist.cluster import (
     Cluster,
     DistTranscript,
@@ -63,7 +62,6 @@ __all__ = [
     "StitchedRun",
     "audit_global",
     "dist_crash_sweep",
-    "run_dist_chaos",
     "run_distributed",
     "shard_workload",
     "stitch_edges",

@@ -141,6 +141,19 @@ class SimBus:
     def revive(self, actor: str) -> None:
         self._down.discard(actor)
 
+    def open_partition(self, a: str, b: str, duration: float) -> None:
+        """Cut the ``a``↔``b`` link (both ways) for ``duration`` time units."""
+        link = frozenset((a, b))
+        self._partitions[link] = self.now + duration
+        self.stats.partitions_opened += 1
+        if self.tracer:
+            a, b = sorted(link)
+            self.tracer.emit(
+                PartitionOpened(
+                    time=self.now, a=a, b=b, heals_at=self.now + duration
+                )
+            )
+
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
@@ -178,16 +191,7 @@ class SimBus:
             opened = plan.partition(len(self.partition_links))
             if opened is not None:
                 pick, duration = opened
-                link = self.partition_links[pick]
-                self._partitions[link] = self.now + duration
-                self.stats.partitions_opened += 1
-                if self.tracer:
-                    a, b = sorted(link)
-                    self.tracer.emit(
-                        PartitionOpened(
-                            time=self.now, a=a, b=b, heals_at=self.now + duration
-                        )
-                    )
+                self.open_partition(*self.partition_links[pick], duration)
         if not reliable:
             link = frozenset((src, dst))
             heals_at = self._partitions.get(link)

@@ -69,6 +69,15 @@ class DistCrashPointResult:
     def passed(self) -> bool:
         return self.audit.passed and not self.regressions
 
+    def to_dict(self) -> dict:
+        return {
+            "index": self.index,
+            "actor": self.actor,
+            "label": self.label,
+            "violations": list(self.audit.violations),
+            "regressions": list(self.regressions),
+        }
+
 
 @dataclass(frozen=True)
 class DistCrashSweepResult:
@@ -83,6 +92,13 @@ class DistCrashSweepResult:
 
     def failures(self) -> tuple:
         return tuple(r for r in self.results if not r.passed)
+
+    def to_dict(self) -> dict:
+        return {
+            "points_reached": self.points_reached,
+            "passed": self.passed,
+            "failures": [result.to_dict() for result in self.failures()],
+        }
 
 
 def dist_crash_sweep(

@@ -10,11 +10,10 @@ Three pillars over the deterministic scheduler stack (see
 * :mod:`repro.robust.monitor` — live invariant auditing with a
   degradation ladder (quarantine the fast paths, then fall back to the
   bit-parity reference scheduler);
-* :mod:`repro.robust.crash` / :mod:`repro.robust.chaos` — the
-  crash-point sweep and the chaos campaign drivers built on them.
+* :mod:`repro.robust.crash` — the crash-point sweep (the chaos table in
+  :mod:`repro.chaos` runs it as its ``sweep`` row).
 """
 
-from repro.robust.chaos import render_report, run_chaos
 from repro.robust.crash import (
     CrashPointResult,
     CrashSweepResult,
@@ -55,7 +54,5 @@ __all__ = [
     "baseline_run",
     "crash_sweep",
     "recover",
-    "render_report",
     "replay_into",
-    "run_chaos",
 ]

@@ -17,7 +17,7 @@ the serializability checker.
 Because the harness and schedulers are deterministic, a sweep is a pure
 function of ``(adt, table, workload, policy)``; its report is therefore
 byte-stable and diffable across commits, which is what the ``chaos``
-CLI and the CI ``chaos-smoke`` job rely on.
+CLI and the CI ``chaos`` job rely on.
 """
 
 from __future__ import annotations

@@ -19,9 +19,6 @@ the sharded cluster (PR 5):
   breakers (closed → open → half-open).
 * :mod:`repro.serve.shed` — the bounded arrival queue and the serving
   degradation ladder.
-* :mod:`repro.serve.chaos` — the byte-stable serving chaos campaign:
-  overload plus message faults and crashes, certified by the global
-  audit.
 """
 
 from repro.serve.adaptive import AdaptiveController, PolicySwitch
@@ -32,7 +29,6 @@ from repro.serve.breaker import (
     BreakerTransition,
     CircuitBreaker,
 )
-from repro.serve.chaos import SERVING_MIXES, run_serving_chaos
 from repro.serve.deadline import DeadlinePolicy, RetryPolicy
 from repro.serve.loop import ServeResult, ServingLoop, serve
 from repro.serve.shed import (
@@ -66,8 +62,6 @@ __all__ = [
     "LadderStep",
     "LEVEL_NAMES",
     "ShedConfig",
-    "SERVING_MIXES",
-    "run_serving_chaos",
     "ServeResult",
     "ServingLoop",
     "serve",

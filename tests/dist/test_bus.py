@@ -1,6 +1,8 @@
 """SimBus determinism, message faults, and the empty-plan contract."""
 
 from repro.dist import DistStats, SimBus, SimCrash
+from repro.obs.events import PartitionOpened
+from repro.obs.tracers import RecordingTracer
 from repro.robust import FaultPlan, FaultSpec
 
 
@@ -136,6 +138,21 @@ class TestMessageFaults:
                 break
         assert reply is not None and reply.payload["echo"] == 41
         assert bus.stats.partitions_opened == 4  # the cap held
+
+    def test_open_partition_cuts_the_link_counts_and_traces(self):
+        tracer = RecordingTracer()
+        bus = SimBus(tracer=tracer, timeout=1.0, retries=0)
+        echo_endpoint(bus)
+        bus.open_partition("server", "client", 5.0)
+        assert bus.stats.partitions_opened == 1
+        assert [(e.a, e.b, e.heals_at) for e in tracer.of_type(
+            PartitionOpened
+        )] == [("client", "server", 5.0)]
+        assert bus.rpc("client", "server", "ping", 0) is None
+        assert bus.stats.partition_drops >= 1
+        bus.now += 10.0
+        reply = bus.rpc("client", "server", "ping", 1, {"value": 7})
+        assert reply is not None and reply.payload["echo"] == 7
 
 
 class TestDistStats:

@@ -6,10 +6,10 @@ from repro.adts.account import AccountSpec
 from repro.adts.qstack import QStackSpec
 from repro.cc.workload import WorkloadConfig, generate
 from repro.core.methodology import derive
-from repro.dist import Cluster, audit_global, run_dist_chaos
+from repro.chaos import SCENARIOS, render_report, run_chaos
+from repro.dist import Cluster, audit_global
 from repro.experiments import golden
 from repro.robust import FaultPlan, FaultSpec
-from repro.robust.chaos import render_report, run_chaos
 
 
 @pytest.fixture(scope="module")
@@ -85,47 +85,41 @@ class TestStormDeterminism:
 
 
 class TestDistChaosReport:
+    ROWS = {s.name: s for s in SCENARIOS}
+
     def test_report_is_byte_stable(self, adts):
         reports = [
             render_report(
-                run_dist_chaos(
-                    adts, shard_counts=(1, 2), seeds=(7,),
-                    transactions=4, operations=3,
-                )
+                run_chaos(adts, seeds=(7,), scenarios=(self.ROWS["dist"],))
             )
             for _ in range(2)
         ]
         assert reports[0] == reports[1]
 
     def test_campaign_passes_and_covers_the_matrix(self, adts):
-        report = run_dist_chaos(
-            adts, shard_counts=(1, 2), seeds=(7, 23),
-            transactions=4, operations=3, crash_sweep_enabled=True,
+        report = run_chaos(
+            adts, scenarios=(self.ROWS["dist"], self.ROWS["dist_sweep"])
         )
         assert report["passed"], [
-            cell for cell in report["cells"] if not cell["audit"]["passed"]
+            row for row in report["rows"] if not row["passed"]
         ]
+        cells = [r for r in report["rows"] if r["scenario"] == "dist"]
+        sweeps = [r for r in report["rows"] if r["scenario"] == "dist_sweep"]
         # 2 ADTs x 2 shard counts x 3 mixes x 2 seeds
-        assert len(report["cells"]) == 24
-        assert all(s["passed"] for s in report["crash_sweeps"])
-        baseline = [c for c in report["cells"] if c["mix"] == "baseline"]
-        assert all(cell["faults"] is None for cell in baseline)
+        assert len(cells) == 24
+        assert len(sweeps) == 4
+        assert all(s["evidence"]["points_reached"] > 0 for s in sweeps)
+        baseline = [c for c in cells if c["evidence"]["mix"] == "baseline"]
+        assert len(baseline) == 8
+        assert all(cell["evidence"]["faults"] is None for cell in baseline)
 
-    def test_run_chaos_embeds_the_distributed_campaign(self, adts):
+    def test_dist_rows_share_the_one_verdict(self, adts):
         report = run_chaos(
             {"Account": adts["Account"]},
-            policies=("optimistic",),
             seeds=(7,),
-            transactions=4,
-            operations=3,
-            crash_sweep_enabled=False,
-            distributed=True,
-            shard_counts=(1, 2),
+            scenarios=(self.ROWS["storm"], self.ROWS["dist"]),
         )
-        assert report["matrix"]["shard_counts"] == [1, 2]
-        dist = report["distributed"]
-        assert dist["matrix"]["policy"] == "optimistic"
-        assert report["passed"] == (
-            all(c["fault_storm"]["serializable"] for c in report["cells"])
-            and dist["passed"]
-        )
+        dist = [r for r in report["rows"] if r["scenario"] == "dist"]
+        assert {row["policy"] for row in dist} == {"optimistic"}
+        assert {row["shards"] for row in dist} == {1, 2}
+        assert report["passed"] == all(r["passed"] for r in report["rows"])

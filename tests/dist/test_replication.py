@@ -26,10 +26,10 @@ import pytest
 from repro.adts.account import AccountSpec
 from repro.adts.qstack import QStackSpec
 from repro.cc.workload import WorkloadConfig, generate
+from repro.chaos import SCENARIOS, _KillPrimariesOnce, run_chaos
 from repro.core.methodology import derive
 from repro.dist import run_distributed
 from repro.dist.audit import audit_global
-from repro.dist.chaos import _KillPrimariesOnce, run_replication_chaos
 from repro.dist.cluster import Cluster, ClusterFrontend, shard_workload
 from repro.experiments import golden
 from repro.spec.operation import Invocation
@@ -311,19 +311,17 @@ class TestCampaign:
     def test_campaign_passes_and_is_byte_stable(self):
         adt = AccountSpec()
         adts = {"Account": (adt, derive(adt).final_table)}
-        first = run_replication_chaos(adts, transactions=8)
-        second = run_replication_chaos(adts, transactions=8)
+        rows = tuple(s for s in SCENARIOS if s.name == "replication")
+        first = run_chaos(adts, scenarios=rows)
+        second = run_chaos(adts, scenarios=rows)
         assert first == second
+        row = first["rows"][0]
         assert first["passed"], [
-            {
-                name: scenario["gates"]
-                for name, scenario in cell["scenarios"].items()
-                if not scenario["passed"]
-            }
-            for cell in first["cells"]
-            if not cell["passed"]
+            gate
+            for gates in (row["safety"], row["liveness"])
+            for gate, ok in gates.items()
+            if not ok
         ]
-        kill = first["cells"][0]["scenarios"]["primary_kill"]
-        assert kill["gates"]["all_primaries_killed"]
-        assert kill["gates"]["no_committed_loss"]
-        assert kill["gates"]["single_primary_per_epoch"]
+        assert row["liveness"]["primary_kill.all_primaries_killed"]
+        assert row["safety"]["primary_kill.no_committed_loss"]
+        assert row["safety"]["primary_kill.single_primary_per_epoch"]

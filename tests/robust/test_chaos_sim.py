@@ -17,9 +17,8 @@ from repro.robust import (
     FaultSpec,
     MonitoredScheduler,
     RobustStats,
-    render_report,
-    run_chaos,
 )
+from repro.chaos import SCENARIOS, render_report, run_chaos
 
 
 @pytest.fixture(scope="module")
@@ -242,6 +241,10 @@ class TestRestartsExhausted:
 
 
 class TestChaosCampaign:
+    """The scheduler rows of the chaos table: storm and crash sweep."""
+
+    ROWS = tuple(s for s in SCENARIOS if s.name in ("storm", "sweep"))
+
     @pytest.fixture(scope="class")
     def matrix(self):
         account = AccountSpec()
@@ -249,38 +252,26 @@ class TestChaosCampaign:
 
     def test_report_is_byte_identical_across_runs(self, matrix):
         def campaign():
-            return run_chaos(
-                matrix,
-                policies=("optimistic",),
-                seeds=(3,),
-                transactions=4,
-                operations=2,
-            )
+            return run_chaos(matrix, seeds=(3,), scenarios=self.ROWS)
 
         assert render_report(campaign()) == render_report(campaign())
 
     def test_campaign_passes_and_carries_evidence(self, matrix):
-        report = run_chaos(
-            matrix,
-            policies=("optimistic", "blocking"),
-            seeds=(3,),
-            transactions=4,
-            operations=2,
-        )
+        report = run_chaos(matrix, seeds=(3,), scenarios=self.ROWS)
         assert report["passed"]
-        assert len(report["cells"]) == 2
-        for cell in report["cells"]:
-            assert cell["crash_sweep"]["passed"]
-            assert cell["fault_storm"]["serializable"]
-            assert cell["fault_storm"]["faults"]["seed"] == 3
+        storms = [r for r in report["rows"] if r["scenario"] == "storm"]
+        sweeps = [r for r in report["rows"] if r["scenario"] == "sweep"]
+        assert [r["policy"] for r in storms] == ["optimistic", "blocking"]
+        assert [r["policy"] for r in sweeps] == ["optimistic", "blocking"]
+        for row in sweeps:
+            assert row["safety"] == {
+                "transcript_identical": True, "serializable": True,
+            }
+            assert row["evidence"]["decision_points"] > 0
+        for row in storms:
+            assert row["safety"]["serializable"]
+            assert row["evidence"]["faults"]["seed"] == 3
 
     def test_sweep_can_be_disabled(self, matrix):
-        report = run_chaos(
-            matrix,
-            policies=("optimistic",),
-            seeds=(3,),
-            transactions=3,
-            operations=2,
-            crash_sweep_enabled=False,
-        )
-        assert "crash_sweep" not in report["cells"][0]
+        report = run_chaos(matrix, seeds=(3,), scenarios=self.ROWS[:1])
+        assert {row["scenario"] for row in report["rows"]} == {"storm"}

@@ -11,17 +11,16 @@ The PR 9 property suite:
   committed history — certified by ``is_serializable`` on the bare
   scheduler and by :func:`~repro.dist.audit.audit_global` on the
   cluster;
-* the end-to-end campaign (:func:`repro.serve.chaos.run_serving_chaos`)
-  passes its gates and renders byte-stable.
+* the ``serve`` row of the chaos table (:mod:`repro.chaos`) passes its
+  gates and renders byte-stable.
 """
-
-import json
 
 import pytest
 
 from repro.adts.registry import make_adt
 from repro.cc.scheduler import TableDrivenScheduler
 from repro.cc.serializability import is_serializable
+from repro.chaos import SCENARIOS, render_report, run_chaos
 from repro.core.methodology import derive
 from repro.dist.audit import audit_global
 from repro.dist.cluster import Cluster, ClusterFrontend
@@ -36,7 +35,6 @@ from repro.serve import (
     ServingLoop,
     ShedConfig,
     generate,
-    run_serving_chaos,
 )
 
 TERMINAL = ("committed", "aborted", "shed", "deadline_exceeded",
@@ -254,25 +252,23 @@ class TestNoResurrection:
 
 
 class TestServingChaosCampaign:
+    SERVE = tuple(s for s in SCENARIOS if s.name == "serve")
+
     @pytest.fixture(scope="class")
     def report(self, qstack):
-        adt, table = qstack
-        return run_serving_chaos(
-            {"QStack": (adt, table)}, shard_counts=(2,), seeds=(1991,)
-        )
+        return run_chaos({"QStack": qstack}, scenarios=self.SERVE)
 
     def test_campaign_passes_its_gates(self, report):
         assert report["passed"]
-        for group in report["groups"]:
-            assert group["degraded_ok"]
-            for cell in group["cells"].values():
-                assert not cell["audit"].get("violations")
+        assert [row["backend"] for row in report["rows"]] == [
+            "scheduler", "cluster",
+        ]
+        for row in report["rows"]:
+            assert row["liveness"]["goodput"]
+            for mix in row["evidence"]["mixes"].values():
+                assert not mix["resurrected"]
+                assert not mix.get("violations")
 
     def test_campaign_is_byte_stable(self, report, qstack):
-        adt, table = qstack
-        again = run_serving_chaos(
-            {"QStack": (adt, table)}, shard_counts=(2,), seeds=(1991,)
-        )
-        assert json.dumps(report, sort_keys=True) == json.dumps(
-            again, sort_keys=True
-        )
+        again = run_chaos({"QStack": qstack}, scenarios=self.SERVE)
+        assert render_report(report) == render_report(again)

@@ -1,7 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import functools
+
 import pytest
 
+from repro import chaos
 from repro.__main__ import build_parser, main
 
 
@@ -68,62 +71,72 @@ class TestCommands:
 
 
 class TestChaosExitCode:
-    """The chaos exit code is the CI contract: a failing embedded
-    sub-campaign must fail the command even if the top-level ``passed``
-    flag claims otherwise (regression guard on the verdict folding)."""
+    """The chaos exit code is the CI contract: forcing any single safety
+    or liveness gate false in any row must fail that row, the report and
+    the command.  Each row replays the verdict a real run recorded."""
 
-    def fake_report(self, **sections):
-        report = {"cells": [], "passed": True}
-        report.update(sections)
-        return report
+    #: The replayed checks never look at the ADT.
+    ADTS = {"Account": (None, None)}
 
-    def run_chaos_cli(self, monkeypatch, report):
-        import repro.robust
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        from repro.adts.registry import make_adt
+        from repro.core.methodology import derive
 
+        adt = make_adt("Account")
+        return chaos.run_chaos(
+            {"Account": (adt, derive(adt).final_table)}, seeds=(7,)
+        )["rows"]
+
+    def replay(self, row, kind=None, gate=None):
+        """A one-row table replaying ``row``, with ``gate`` forced false."""
+        outcome = {
+            "safety": dict(row["safety"]),
+            "liveness": dict(row["liveness"]),
+            "evidence": row["evidence"],
+        }
+        if gate is not None:
+            outcome[kind][gate] = False
+        cell = {axis: row[axis] for axis in chaos.AXES}
+        return (
+            chaos.Scenario(
+                row["scenario"], lambda *_: outcome, (cell,), (row["seed"],)
+            ),
+        )
+
+    def run_cli(self, monkeypatch, capsys, table):
         monkeypatch.setattr(
-            repro.robust, "run_chaos", lambda *args, **kwargs: report
+            chaos, "run_chaos",
+            functools.partial(chaos.run_chaos, scenarios=table),
         )
-        return main(["chaos", "Account", "--no-crash-sweep"])
-
-    def test_passing_report_exits_zero(self, monkeypatch, capsys):
-        assert self.run_chaos_cli(monkeypatch, self.fake_report()) == 0
+        code = main(["chaos", "Account"])
         capsys.readouterr()
+        return code
 
-    def test_top_level_failure_exits_nonzero(self, monkeypatch, capsys):
-        report = self.fake_report()
-        report["passed"] = False
-        assert self.run_chaos_cli(monkeypatch, report) == 1
-        capsys.readouterr()
+    def test_passing_report_exits_zero(self, recorded, monkeypatch, capsys):
+        for row in recorded:
+            table = self.replay(row)
+            assert chaos.run_chaos(self.ADTS, scenarios=table)[
+                "passed"
+            ]
+            assert self.run_cli(monkeypatch, capsys, table) == 0
 
-    @pytest.mark.parametrize(
-        "section", ["distributed", "serving", "replication"]
-    )
-    def test_failing_subreport_exits_nonzero(
-        self, monkeypatch, capsys, section
+    @pytest.mark.parametrize("scenario", [s.name for s in chaos.SCENARIOS])
+    def test_forced_gate_fails_row_report_and_exit(
+        self, recorded, monkeypatch, capsys, scenario
     ):
-        # Top-level passed=True with a failing embedded verdict: the
-        # folding bug this guards against.
-        report = self.fake_report(**{section: {"passed": False}})
-        assert self.run_chaos_cli(monkeypatch, report) == 1
-        capsys.readouterr()
-
-    def test_chaos_passed_folds_all_sections(self):
-        from repro.__main__ import _chaos_passed
-
-        assert _chaos_passed({"passed": True})
-        assert not _chaos_passed({"passed": False})
-        assert _chaos_passed(
-            {
-                "passed": True,
-                "distributed": {"passed": True},
-                "serving": {"passed": True},
-                "replication": {"passed": True},
-            }
-        )
-        for section in ("distributed", "serving", "replication"):
-            assert not _chaos_passed(
-                {"passed": True, section: {"passed": False}}
-            )
+        rows = [row for row in recorded if row["scenario"] == scenario]
+        forced = 0
+        for row in rows:
+            for kind in ("safety", "liveness"):
+                for gate in row[kind]:
+                    table = self.replay(row, kind, gate)
+                    report = chaos.run_chaos(self.ADTS, scenarios=table)
+                    assert not report["rows"][0]["passed"], (kind, gate)
+                    assert not report["passed"], (kind, gate)
+                    assert self.run_cli(monkeypatch, capsys, table) == 1
+                    forced += 1
+        assert rows and forced
 
 
 class TestTablesCommand:
@@ -268,26 +281,33 @@ class TestRobustCommands:
         assert "serializable: True" in capsys.readouterr().out
 
     def test_chaos_smoke(self, capsys):
-        assert main([
-            "chaos", "Account", "--policies", "optimistic",
-            "--seeds", "3", "--transactions", "4", "--operations", "2",
-        ]) == 0
+        assert main(["chaos", "Account", "--seeds", "7"]) == 0
         out = capsys.readouterr().out
         assert '"passed": true' in out
-        assert "chaos: cells=1" in out
+        assert (
+            "chaos: rows=15 storm=2 sweep=2 dist=6 dist_sweep=2 serve=2 "
+            "replication=1 failed=0" in out
+        )
         assert "passed=True" in out
 
     def test_chaos_report_file_is_byte_stable(self, tmp_path, capsys):
         def run(path):
             assert main([
-                "chaos", "Account", "--policies", "optimistic",
-                "--seeds", "3", "--transactions", "4", "--operations", "2",
-                "--report", str(path),
+                "chaos", "Account", "--seeds", "7", "--report", str(path),
             ]) == 0
             capsys.readouterr()
             return path.read_bytes()
 
         assert run(tmp_path / "a.json") == run(tmp_path / "b.json")
+
+    def test_chaos_takes_three_options(self):
+        parser = build_parser()
+        chaos_parser = parser._subparsers._group_actions[0].choices["chaos"]
+        options = [
+            action.dest for action in chaos_parser._actions
+            if action.dest != "help"
+        ]
+        assert options == ["adts", "seeds", "report"]
 
     def test_chaos_unknown_adt_rejected(self):
         with pytest.raises(SystemExit):
@@ -335,16 +355,6 @@ class TestDistCommands:
         out = capsys.readouterr().out
         assert '"dist_messages_sent"' in out
         assert '"dist_prepares_sent"' in out
-
-    def test_chaos_dist_flag_extends_the_campaign(self, capsys):
-        assert main([
-            "chaos", "Account", "--policies", "optimistic",
-            "--seeds", "7", "--transactions", "4", "--operations", "2",
-            "--dist", "--shards", "1", "2", "--no-crash-sweep",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert '"distributed"' in out
-        assert "dist_cells=6" in out
 
 
 class TestObservabilityCommands:
