@@ -14,9 +14,9 @@ construction; :meth:`DependencyGraph.add` still verifies this so that a
 faulty scheduler fails loudly rather than deadlocking silently.
 
 Beside the edge map the graph keeps per-transaction out-edge and in-edge
-maps, so neighbour queries cost O(degree) and the reachability check
-behind every ``add`` costs O(reachable edges) rather than a scan of every
-edge per visited node.
+maps, so neighbour queries cost O(degree).  The cycle check behind every
+``add`` walks in-edges backwards from ``later`` (the active requester), so
+it costs ``later``'s transitive dependents, not the history behind ``earlier``.
 """
 
 from __future__ import annotations
@@ -127,16 +127,20 @@ class DependencyGraph:
     # ------------------------------------------------------------------
 
     def _reachable(self, start: TxnId, goal: TxnId) -> bool:
-        """Whether ``goal`` is reachable from ``start`` along edges."""
-        out = self._out
-        seen = {start}
-        frontier = [start]
+        """Whether ``goal`` is reachable from ``start`` along edges.
+
+        Walks in-edges backwards from ``goal``: callers pass the active
+        requester there, whose transitive dependents are few.
+        """
+        into = self._in
+        seen = {goal}
+        frontier = [goal]
         while frontier:
             node = frontier.pop()
-            if node == goal:
+            if node == start:
                 return True
-            for earlier in out.get(node, ()):
-                if earlier not in seen:
-                    seen.add(earlier)
-                    frontier.append(earlier)
+            for later in into.get(node, ()):
+                if later not in seen:
+                    seen.add(later)
+                    frontier.append(later)
         return False

@@ -63,7 +63,7 @@ Tables are compiled once, at object registration
 * the per-request log scan is replaced by an **incremental peer index**
   (per object: active transaction -> its log entries, their op ids, and
   an OR-ed op-id bitmask), appended on every grant, pruned on commit,
-  and epoch-invalidated with the shadow index on abort rollback; a peer
+  and rebuilt from the log after an abort rolls that object back; a peer
   transaction whose bitmask is all-unconditional-ND against the
   requested operation settles in one integer test;
 * a missed execution runs an ``exec``-generated per-operation executor
@@ -112,7 +112,9 @@ from repro.obs.events import (
     TxnBegun,
     TxnCommitted,
 )
-from repro.obs.conflict import ConflictProfile, ObjectConflictTracker
+from repro.obs.conflict import (
+    DEFAULT_THRESHOLDS, ConflictProfile, ObjectConflictTracker,
+)
 from repro.obs.tracers import NULL_TRACER, Tracer
 from repro.perf.cache import ExecutionCache
 from repro.perf.codegen import ConflictMatrix, compiled_execute
@@ -305,24 +307,6 @@ class _TxnEntries:
         self.mask = 0
 
 
-class _PeerIndex:
-    """Incrementally maintained active-peer entries of one shared object.
-
-    Replaces a per-request log scan: appended on
-    every grant, pruned when a transaction commits, and marked stale when
-    an abort rewrites the log wholesale (the entries are replaced by
-    fresh :class:`~repro.cc.objects.AppliedOperation` objects with new
-    traces, so the index must rebuild from the authoritative log — the
-    same epoch discipline the shadow index uses).
-    """
-
-    __slots__ = ("stale", "by_txn")
-
-    def __init__(self) -> None:
-        self.stale = True
-        self.by_txn: dict[TxnId, _TxnEntries] = {}
-
-
 class TableDrivenScheduler:
     """Scheduler over shared objects, driven by compatibility tables."""
 
@@ -381,8 +365,9 @@ class TableDrivenScheduler:
             )
         )
         self._objects: dict[str, _RegisteredObject] = {}
-        #: Per-object incremental peer index.
-        self._peers: dict[str, _PeerIndex] = {}
+        #: Per-object peer index (active txn -> its log entries); ``None``
+        #: until rebuilt from the log after registration or a rollback.
+        self._peers: dict[str, dict[TxnId, _TxnEntries] | None] = {}
         #: Every transaction ever begun (the audits walk ids); the active
         #: ones are also in ``_active``, kept in step with their status.
         self._txns: dict[TxnId, Transaction] = {}
@@ -420,17 +405,12 @@ class TableDrivenScheduler:
             table=table,
             matrix=ConflictMatrix.compile(table),
         )
-        self._peers[name] = _PeerIndex()
-        if self.conflict_thresholds is not None:
-            self._conflict[name] = ObjectConflictTracker(
-                object_name=name,
-                window_size=self.conflict_window,
-                thresholds=self.conflict_thresholds,
-            )
-        else:
-            self._conflict[name] = ObjectConflictTracker(
-                object_name=name, window_size=self.conflict_window
-            )
+        self._peers[name] = None
+        self._conflict[name] = ObjectConflictTracker(
+            object_name=name,
+            window_size=self.conflict_window,
+            thresholds=self.conflict_thresholds or DEFAULT_THRESHOLDS,
+        )
         self._shadow.register(name)
         if self.tracer:
             self.tracer.emit(
@@ -653,14 +633,13 @@ class TableDrivenScheduler:
             self._wait_for.pop(txn, None)
             # Committed transactions are never certified against again;
             # their shadow states would only cost maintenance, and their
-            # peer-index entries would only cost a skipped iteration.
-            for name in self._objects:
-                self._shadow.forget(name, txn)
-                self._peers[name].by_txn.pop(txn, None)
-            # The commit can only advance the low watermark of objects
-            # the transaction wrote to.
+            # peer-index entries would only cost a skipped iteration.  Both
+            # exist only on objects the transaction wrote to, and only
+            # there can the commit advance the low watermark.
             is_active = self._active.__contains__
             for name in {record.object_name for record in transaction.records}:
+                self._shadow.forget(name, txn)
+                (self._peers[name] or {}).pop(txn, None)
                 self._objects[name].shared.compact(is_active)
             if self.tracer:
                 self.tracer.emit(
@@ -743,21 +722,22 @@ class TableDrivenScheduler:
                 self.tracer.emit(CascadeAborted(time=self.now, txn=t, root=txn))
         collateral: set[TxnId] = set()
         is_active = self._active.__contains__
-        for registered in self._objects.values():
+        # Roll back the objects whose *log* holds an aborting entry (a
+        # cycle victim's last entry is logged but never recorded).
+        for name, registered in self._objects.items():
             shared = registered.shared
+            if all_aborting.isdisjoint(entry.txn for entry in shared.log()):
+                continue
             invalidated = shared.remove_transactions(all_aborting)
             collateral |= {t for t in invalidated if is_active(t)}
             # The aborted entries may have been all that held resolved
             # work above the low watermark.
             shared.compact(is_active)
-        # The rollback rewrote every object's log; every maintained
-        # shadow state — and every peer-index entry, whose log objects
-        # were replaced by the replay — is stale.  Epoch-invalidate and
-        # rebuild lazily.
+            # The replay replaced the log objects the peer index holds.
+            self._peers[name] = None
+        # Shadow states are epoch-invalidated everywhere (O(1)); scoping this
+        # would move which cache reads a fault plan's cache poison hits.
         self._shadow.invalidate()
-        for index in self._peers.values():
-            index.stale = True
-            index.by_txn = {}
         return cascade, list(collateral)
 
     # ------------------------------------------------------------------
@@ -876,7 +856,7 @@ class TableDrivenScheduler:
         )
         for name, registered in self._objects.items():
             registered.matrix = ConflictMatrix.compile(registered.table)
-            self._peers[name] = _PeerIndex()
+            self._peers[name] = None
             self._shadow.register(name)
 
     # ------------------------------------------------------------------
@@ -904,13 +884,13 @@ class TableDrivenScheduler:
         append — the next :meth:`_peer_entries` rebuild picks the entry
         up from the authoritative log.
         """
-        index = self._peers[name]
-        if index.stale:
+        by_txn = self._peers[name]
+        if by_txn is None:
             return
         op_id = registered.matrix.op_id[applied.invocation.operation]
-        peer = index.by_txn.get(txn)
+        peer = by_txn.get(txn)
         if peer is None:
-            peer = index.by_txn[txn] = _TxnEntries()
+            peer = by_txn[txn] = _TxnEntries()
         peer.entries.append(applied)
         peer.ids.append(op_id)
         peer.mask |= 1 << op_id
@@ -928,11 +908,11 @@ class TableDrivenScheduler:
         request.  ``skip`` names the entry under certification, exactly
         as in a shadow rebuild.
         """
-        index = self._peers[registered.shared.name]
-        if index.stale:
+        by_txn = self._peers[registered.shared.name]
+        if by_txn is None:
             op_id = registered.matrix.op_id
             txns = self._txns
-            by_txn: dict[TxnId, _TxnEntries] = {}
+            by_txn = self._peers[registered.shared.name] = {}
             for entry in registered.shared.log():
                 if entry is skip:
                     continue
@@ -946,9 +926,7 @@ class TableDrivenScheduler:
                 peer.entries.append(entry)
                 peer.ids.append(oid)
                 peer.mask |= 1 << oid
-            index.by_txn = by_txn
-            index.stale = False
-        return index.by_txn
+        return by_txn
 
     def _pair_dependency(
         self,
@@ -1236,10 +1214,12 @@ class TableDrivenScheduler:
         chains longer than the interpreter's recursion limit would crash
         deadlock detection).  Visits blockers in the same order as the
         recursive formulation, so the cycle found — and therefore the
-        victim chosen — is identical.
+        victim chosen — is identical.  A visited node off the path is
+        finished and cannot reach the path, so it is skipped: O(V + E).
         """
         path: list[TxnId] = []
         on_path: set[TxnId] = set()
+        visited: set[TxnId] = set()
         #: Frame i is the pending-successor iterator whose yields become
         #: path depth i; exhausting it pops the node at depth i - 1.
         frames: list[Iterator[TxnId]] = [iter((start,))]
@@ -1252,6 +1232,9 @@ class TableDrivenScheduler:
                 continue
             if node in on_path:
                 return path[path.index(node):]
+            if node in visited:
+                continue
+            visited.add(node)
             path.append(node)
             on_path.add(node)
             frames.append(iter(self._wait_for.get(node, ())))

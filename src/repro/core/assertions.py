@@ -18,6 +18,8 @@ recoverability from :mod:`repro.semantics`.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from repro.core.dependency import Dependency
 from repro.core.templates import TABLE2, table2_entry
 from repro.graph.instrument import LocalityTrace
@@ -85,6 +87,18 @@ def assertion3_recoverable(trace_x: LocalityTrace, trace_y: LocalityTrace) -> bo
     return True
 
 
+#: Table 2's non-ND cells as ``(dependency, y-set getter, x-set getter)``,
+#: AD cells before CD cells, so the first intersecting cell is the verdict.
+_CELLS_STRONGEST_FIRST = tuple(
+    (
+        TABLE2[y_kind, x_kind],
+        attrgetter(LocalityTrace.KIND_ATTRIBUTES[y_kind]),
+        attrgetter(LocalityTrace.KIND_ATTRIBUTES[x_kind]),
+    )
+    for y_kind, x_kind in sorted(_MODIFYING_PAIRS, key=TABLE2.get, reverse=True)
+)
+
+
 def locality_dependency(
     trace_x: LocalityTrace, trace_y: LocalityTrace
 ) -> Dependency:
@@ -94,11 +108,7 @@ def locality_dependency(
     intersection of their localities is non-empty; the dependency formed is
     read off Table 2 per intersecting kind pair, strongest first.
     """
-    strongest_found = Dependency.ND
-    for y_kind in ("so", "co", "sm", "cm"):
-        for x_kind in ("so", "co", "sm", "cm"):
-            if _intersects(trace_y, y_kind, trace_x, x_kind):
-                strongest_found = max(
-                    strongest_found, table2_entry(y_kind, x_kind)
-                )
-    return strongest_found
+    for dependency, y_set, x_set in _CELLS_STRONGEST_FIRST:
+        if not y_set(trace_y).isdisjoint(x_set(trace_x)):
+            return dependency
+    return Dependency.ND

@@ -93,14 +93,17 @@ class LocalityTrace:
         """``L = L^s ∪ L^c`` of Def. 11."""
         return self.structure_locality | self.content_locality
 
+    #: Short locality-kind name -> the attribute holding that set.
+    KIND_ATTRIBUTES = {
+        "so": "structure_observed",
+        "sm": "structure_modified",
+        "co": "content_observed",
+        "cm": "content_modified",
+    }
+
     def kind(self, name: str) -> set[VertexId]:
         """Locality set by short name: ``'so'``, ``'sm'``, ``'co'`` or ``'cm'``."""
-        return {
-            "so": self.structure_observed,
-            "sm": self.structure_modified,
-            "co": self.content_observed,
-            "cm": self.content_modified,
-        }[name]
+        return getattr(self, self.KIND_ATTRIBUTES[name])
 
     def merge(self, other: "LocalityTrace") -> "LocalityTrace":
         """Union of two traces (used when aggregating over states/arguments)."""

@@ -1,6 +1,8 @@
 """Unit tests for the inter-transaction dependency graph."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cc.dependencies import DependencyGraph
 from repro.core.dependency import Dependency
@@ -72,3 +74,49 @@ class TestCascade:
         graph.add(2, 0, Dependency.AD)
         graph.add(3, 1, Dependency.AD)
         assert graph.abort_cascade([0, 1]) == {2, 3}
+
+
+def forward_closure(edges, start):
+    """Every node reachable from ``start`` along recorded ``later -> earlier``."""
+    reached, frontier = set(), [start]
+    while frontier:
+        node = frontier.pop()
+        for later, earlier in edges:
+            if later == node and earlier not in reached:
+                reached.add(earlier)
+                frontier.append(earlier)
+    return reached
+
+
+nodes = st.integers(min_value=0, max_value=5)
+attempts = st.lists(
+    st.tuples(nodes, nodes, st.sampled_from(list(Dependency))), max_size=30
+)
+
+
+class TestReachabilityOracle:
+    @given(attempts)
+    @settings(max_examples=300, deadline=None)
+    def test_add_and_transitive_queries_match_forward_closure(self, attempts):
+        graph = DependencyGraph()
+        edges: set[tuple[int, int]] = set()
+        for later, earlier, dependency in attempts:
+            if dependency is Dependency.ND:
+                graph.add(later, earlier, dependency)
+                continue
+            closes_cycle = later == earlier or later in forward_closure(
+                edges, earlier
+            )
+            if closes_cycle:
+                with pytest.raises(DependencyCycleError):
+                    graph.add(later, earlier, dependency)
+            else:
+                graph.add(later, earlier, dependency)
+                edges.add((later, earlier))
+            assert set(graph.edges()) == edges
+        for start in range(6):
+            reached = forward_closure(edges, start)
+            for goal in range(6):
+                assert graph.depends_transitively(start, goal) is (
+                    goal in reached or goal == start
+                )

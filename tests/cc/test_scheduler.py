@@ -3,6 +3,7 @@
 import pytest
 
 from repro.adts.qstack import QStackSpec
+from repro.cc.reference import ReferenceScheduler
 from repro.cc.scheduler import TableDrivenScheduler
 from repro.core.dependency import Dependency
 from repro.core.methodology import derive
@@ -17,14 +18,15 @@ def table():
     return derive(adt).final_table
 
 
-def make_scheduler(table, policy="optimistic", state=("a", "b")):
+def make_scheduler(table, policy="optimistic", state=("a", "b"), names=("qs",)):
     scheduler = TableDrivenScheduler(policy=policy)
-    scheduler.register_object(
-        "qs",
-        QStackSpec(operations=golden.QSTACK_WORKED_OPERATIONS),
-        table,
-        initial_state=state,
-    )
+    for name in names:
+        scheduler.register_object(
+            name,
+            QStackSpec(operations=golden.QSTACK_WORKED_OPERATIONS),
+            table,
+            initial_state=state,
+        )
     return scheduler
 
 
@@ -176,3 +178,113 @@ class TestBlocking:
         scheduler.request(t2, "qs", Invocation("Pop"))
         assert scheduler.stats.operations_executed == 1
         assert scheduler.stats.operations_blocked == 1
+
+
+class TestObjectScopedAbort:
+    def test_abort_leaves_untouched_objects_alone(self, table):
+        names = [f"o{i}" for i in range(8)]
+        scheduler = make_scheduler(table, names=names)
+        t0, t1 = scheduler.begin(), scheduler.begin()
+        for name in names:
+            assert scheduler.request(t0, name, Invocation("Top")).executed
+        assert scheduler.request(t1, "o0", Invocation("Push", ("b",))).executed
+        before = {
+            name: (
+                scheduler.object(name).graph,
+                scheduler.object(name).log(),
+                scheduler._peers[name],
+            )
+            for name in names[1:]
+        }
+        assert scheduler.abort(t1) == set()
+        for name in names[1:]:
+            graph, log, peers = before[name]
+            shared = scheduler.object(name)
+            assert shared.graph is graph
+            assert len(shared.log()) == len(log) == 1
+            assert all(a is b for a, b in zip(shared.log(), log))
+            # The peer index stays live and still holds the same entries.
+            assert scheduler._peers[name] is peers
+            assert peers[t0].entries[0] is log[0]
+        # The touched object was rolled back and its index dropped.
+        rolled_back = scheduler.object("o0")
+        assert [entry.txn for entry in rolled_back.log()] == [t0]
+        assert rolled_back.state() == ("a", "b")
+        assert scheduler._peers["o0"] is None
+
+    def test_cycle_victims_logged_entry_is_rolled_back(self, table):
+        # t2 commit-depends on t1 on A; t1's Pop on B would abort-depend
+        # on t2 and close the cycle.  That Pop is logged on B before the
+        # cycle check and never recorded, so t1's records name only A.
+        scheduler = make_scheduler(table, names="AB")
+        t1, t2 = scheduler.begin(), scheduler.begin()
+        scheduler.request(t1, "A", Invocation("Top"))
+        assert scheduler.request(t2, "A", Invocation("Pop")).dependencies == (
+            (t1, Dependency.CD),
+        )
+        scheduler.request(t2, "B", Invocation("Pop"))
+        decision = scheduler.request(t1, "B", Invocation("Pop"))
+        assert decision.aborted
+        assert scheduler.transaction(t1).is_aborted
+        assert scheduler.transaction(t2).is_active  # CD never cascades
+        assert {r.object_name for r in scheduler.transaction(t1).records} == {
+            "A"
+        }
+        b = scheduler.object("B")
+        assert [entry.txn for entry in b.log()] == [t2]
+        expected = make_scheduler(table, names="B")
+        expected.request(expected.begin(), "B", Invocation("Pop"))
+        assert b.state() == expected.object("B").state()
+
+
+class CountingWaitFor(dict):
+    """A wait-for map that counts how many nodes a traversal expands,
+    failing fast once a traversal passes ``limit`` expansions."""
+
+    def __init__(self, *args, limit=10**6):
+        super().__init__(*args)
+        self.expanded = 0
+        self.limit = limit
+
+    def get(self, key, default=None):
+        self.expanded += 1
+        assert self.expanded <= self.limit, "wait-for traversal is exponential"
+        return super().get(key, default)
+
+
+def diamond_wait_for(layers):
+    """Start 0 waits on a layered diamond (two nodes per layer, each
+    waiting on both nodes of the next layer, the last on nothing) and
+    then on a node that waits back on 0: the only cycle is reached after
+    the whole diamond is explored.  Lists fix the visiting order."""
+    closing = 2 * layers + 1
+    wait_for = {0: [1, 2, closing], closing: [0]}
+    for layer in range(layers - 1):
+        pair = [2 * layer + 3, 2 * layer + 4]
+        wait_for[2 * layer + 1] = list(pair)
+        wait_for[2 * layer + 2] = list(pair)
+    return CountingWaitFor(wait_for), closing
+
+
+class TestWaitCycle:
+    def test_shared_subgraphs_are_walked_once(self, table):
+        wait_for, closing = diamond_wait_for(40)
+        scheduler = make_scheduler(table, policy="blocking")
+        scheduler._wait_for = wait_for
+        assert scheduler._wait_cycle(0) == [0, closing]
+        # Each of the 82 nodes is expanded at most once; the seed's DFS
+        # expanded one node per path prefix, about 2**40 here.
+        assert wait_for.expanded <= closing + 1
+
+    def test_same_cycle_as_the_reference(self, table):
+        fast, closing = diamond_wait_for(12)
+        reference_wait_for, _ = diamond_wait_for(12)
+        scheduler = make_scheduler(table, policy="blocking")
+        scheduler._wait_for = fast
+        reference = ReferenceScheduler(policy="blocking")
+        reference._wait_for = reference_wait_for
+        assert scheduler._wait_cycle(0) == reference._wait_cycle(0) == [
+            0,
+            closing,
+        ]
+        assert fast.expanded <= closing + 1 < 2**12 < reference_wait_for.expanded

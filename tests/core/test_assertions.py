@@ -1,6 +1,8 @@
 """Unit tests for the executable Assertions 1-3 (Section 4.3)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adts.qstack import QStackSpec
 from repro.core.assertions import (
@@ -10,6 +12,7 @@ from repro.core.assertions import (
     locality_dependency,
 )
 from repro.core.dependency import Dependency
+from repro.core.templates import TABLE2
 from repro.graph.instrument import LocalityTrace
 from repro.spec.adt import execute_invocation
 from repro.spec.operation import Invocation
@@ -100,3 +103,46 @@ class TestLocalityDependency:
             Invocation("XTop"),
         )
         assert locality_dependency(x, y) is Dependency.ND
+
+
+#: Locality kind -> trace attribute, spelled out independently of the
+#: class-level map the implementation reads.
+KIND_SETS = {
+    "so": lambda trace: trace.structure_observed,
+    "sm": lambda trace: trace.structure_modified,
+    "co": lambda trace: trace.content_observed,
+    "cm": lambda trace: trace.content_modified,
+}
+
+vertex_sets = st.sets(st.integers(min_value=0, max_value=3), max_size=4)
+locality_traces = st.builds(
+    LocalityTrace,
+    structure_observed=vertex_sets,
+    structure_modified=vertex_sets,
+    content_observed=vertex_sets,
+    content_modified=vertex_sets,
+)
+
+
+def brute_force_dependency(trace_x, trace_y):
+    """Max over all 16 Table-2 cells whose intersection is non-empty."""
+    return max(
+        (
+            dependency
+            for (y_kind, x_kind), dependency in TABLE2.items()
+            if KIND_SETS[y_kind](trace_y) & KIND_SETS[x_kind](trace_x)
+        ),
+        default=Dependency.ND,
+    )
+
+
+class TestLocalityDependencyOracle:
+    @given(locality_traces, locality_traces)
+    @settings(max_examples=400, deadline=None)
+    def test_early_exit_matches_all_sixteen_cells(self, trace_x, trace_y):
+        assert locality_dependency(trace_x, trace_y) is brute_force_dependency(
+            trace_x, trace_y
+        )
+
+    def test_table2_has_sixteen_cells(self):
+        assert len(TABLE2) == 16

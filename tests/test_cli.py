@@ -151,7 +151,7 @@ class TestTablesCommand:
         assert "Stage 5" in content and "f ≠ b" in content
 
 
-class TestObservabilityCommands:
+class TestSimulateAndTraceCommands:
     def test_simulate_run_header(self, capsys):
         assert main([
             "simulate", "QStack", "--transactions", "6", "--seed", "7",
