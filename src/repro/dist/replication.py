@@ -7,7 +7,11 @@ seeded backups over the existing :class:`~repro.dist.bus.SimBus`
 (pipelined, acked, with a per-backup replication-lag watermark), and a
 deterministic heartbeat failure detector drives an **epoch-numbered view
 change** that promotes the most-caught-up backup when the primary stays
-unreachable.  Three rules make failover safe:
+unreachable.  Backups are **passive**: they append and acknowledge the
+shipped records without re-deciding them (the scheduler is
+deterministic, so the log already *is* the decision), and replay the
+unreplayed tail — verified, as crash recovery does — only when their
+state is read or promoted.  Three rules make failover safe:
 
 1. **Ship before reply.**  The primary ships every record it logged
    while handling a message *before* the reply externalizes the outcome
@@ -39,13 +43,17 @@ ever race a view change.  Backups that crash (the
 :meth:`~repro.robust.faults.FaultPlan.replica_crash` fault point) are
 revived at the next boundary by **state transfer** from the primary's
 durable log — the log is disk, readable even while the primary process
-itself is down — which is what keeps every promotion candidate fully
-caught up by promotion time.
+itself is down — which is what keeps every promotion candidate's log
+fully caught up by promotion time.  The price of passivity is paid at
+failover: promotion replays everything the backup has appended since it
+last caught up, which is O(history) wall time until a decision-log
+checkpoint bounds it.
 
 Backups additionally serve **snapshot observer reads** at their applied
 watermark (:meth:`Cluster.observer_read <repro.dist.cluster.Cluster.observer_read>`):
-a pure :meth:`~repro.cc.objects.SharedObject.preview` against the
-backup's replica state, traced as
+the backup catches up to the watermark, then runs a pure
+:meth:`~repro.cc.objects.SharedObject.preview` against its replica state
+(uncommitted entries included), traced as
 :class:`~repro.obs.events.ReplicaReadServed` — the start of the
 ROADMAP's replicated-read serving story.
 """
@@ -76,16 +84,18 @@ __all__ = ["BackupReplica", "ReplicaGroup", "ReplicationManager"]
 
 
 class BackupReplica:
-    """A warm standby: an applied copy of the primary's decision log.
+    """A passive standby: a copy of the primary's decision log.
 
-    The backup owns a silent (untraced) scheduler built by verified
-    replay of the seeded log; every shipped record is appended and
-    applied incrementally with the same
+    Shipped records are only appended and acknowledged: the scheduler is
+    deterministic, so the log already holds every decision.  The replica
+    state is built on demand (an observer read, a promotion) by
+    :meth:`caught_up`, which replays the unreplayed tail into a silent
+    (untraced) scheduler with the same
     :func:`~repro.robust.decision_log.apply_record` verification the
-    crash-recovery path runs, so a diverging backup fails loudly instead
-    of silently serving garbage.  ``applied`` is the replication
+    crash-recovery path runs, so a diverging backup still fails loudly
+    instead of silently serving garbage.  ``applied`` is the replication
     watermark: the number of primary records this backup has durably
-    applied (and acknowledged).
+    appended (and acknowledged).
     """
 
     def __init__(
@@ -108,20 +118,35 @@ class BackupReplica:
         self.reseed(log)
 
     def reseed(self, log: DecisionLog) -> None:
-        """(Re)build the replica state by verified replay of ``log``.
+        """Adopt ``log`` as the replica's log; replay none of it.
 
         Used at construction and for post-crash state transfer: a
         revived backup reseeds from a fork of the primary's durable log
         rather than trying to patch its lost volatile state.
         """
         self.log = log
-        self.sched = TableDrivenScheduler(policy=self.policy)
-        for index, record in enumerate(log.records):
-            apply_record(self.sched, log, record, index)
         self.applied = len(log.records)
+        self._sched: TableDrivenScheduler | None = None
+        self._replayed = 0
+
+    def caught_up(self) -> TableDrivenScheduler:
+        """The replica state at the ``applied`` watermark.
+
+        Builds the scheduler on first use and replays, verified, every
+        record between the replay cursor and ``applied``.  A replay that
+        raises leaves no half-applied scheduler behind: the next call
+        starts again from the first record and fails the same way.
+        """
+        sched, self._sched = self._sched, None
+        if sched is None:
+            sched, self._replayed = TableDrivenScheduler(policy=self.policy), 0
+        for index in range(self._replayed, self.applied):
+            apply_record(sched, self.log, self.log.records[index], index)
+        self._sched, self._replayed = sched, self.applied
+        return sched
 
     def handle(self, message) -> None:
-        """Bus endpoint: apply shipped records, serve observer reads."""
+        """Bus endpoint: append shipped records, serve observer reads."""
         if message.kind == "replicate":
             start = message.payload["from"]
             if start > self.applied:
@@ -129,14 +154,10 @@ class BackupReplica:
                 # were lost to a crash on our side.  Ignore the batch;
                 # the boundary state transfer re-seeds us whole.
                 return
-            for offset, record in enumerate(message.payload["records"]):
-                index = start + offset
-                if index < self.applied:
-                    continue  # duplicate of an already-applied record
-                self.log.records.append(record)
-                apply_record(self.sched, self.log, record, index)
-                self.applied += 1
-                self.stats.repl_records_applied += 1
+            fresh = message.payload["records"][self.applied - start:]
+            self.log.records.extend(fresh)
+            self.applied += len(fresh)
+            self.stats.repl_records_applied += len(fresh)
             self.stats.repl_acks += 1
             self.bus.send(
                 self.name,
@@ -148,7 +169,7 @@ class BackupReplica:
         elif message.kind == "replica-read":
             shard = message.payload["object_name"]
             invocation = message.payload["invocation"]
-            returned = self.sched.object(shard).preview(invocation)
+            returned = self.caught_up().object(shard).preview(invocation)
             self.stats.replica_reads += 1
             if self.tracer:
                 self.tracer.emit(
@@ -199,7 +220,7 @@ class ReplicaGroup:
 
         Called by the primary after handling each message, *before* the
         reply is sent (the replicate messages take lower bus sequence
-        numbers than the reply, so backups apply them first), and by the
+        numbers than the reply, so backups append them first), and by the
         manager at boundaries to push tails written outside handlers.
         """
         node = self.primary
@@ -414,11 +435,14 @@ class ReplicationManager:
         """
         cluster = self.cluster
         bus = cluster.bus
+        live = [b for b in group.backups if b.name not in bus.down()]
+        best = sorted(live, key=lambda b: (-b.applied, b.name))[0]
+        # The promoted backup catches up by verified replay before the
+        # view changes: a diverged log raises here, with nothing fenced.
+        sched = best.caught_up()
         group.epoch += 1
         group.missed = 0
         self.stats.view_changes += 1
-        live = [b for b in group.backups if b.name not in bus.down()]
-        best = sorted(live, key=lambda b: (-b.applied, b.name))[0]
         deposed = group.primary
         name = deposed.name
         node = ParticipantNode(
@@ -427,12 +451,12 @@ class ReplicationManager:
         )
         node.bus = bus
         node.crash_hook = cluster._crash_point
-        # Adopt the promoted replica's applied scheduler and log whole —
-        # no replay needed, the backup *is* the recovered state.
-        best.sched.tracer = cluster.tracer
-        best.sched.now = bus.now
+        # Adopt the promoted replica's caught-up scheduler and log whole:
+        # the backup *is* the recovered state.
+        sched.tracer = cluster.tracer
+        sched.now = bus.now
         node.log = best.log
-        node.sched = LoggingScheduler(best.sched, log=best.log)
+        node.sched = LoggingScheduler(sched, log=best.log)
         node.rebuild_protocol_state()
         node.group = group
         node.incarnation = next(self._incarnations)

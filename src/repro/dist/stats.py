@@ -56,6 +56,8 @@ class DistStats:
     serve_shed_retries: int = 0
     # -- replication ---------------------------------------------------
     repl_records_shipped: int = 0
+    #: Shipped records appended to backup logs (and acked); backups
+    #: replay them only when read or promoted.
     repl_records_applied: int = 0
     repl_acks: int = 0
     repl_retransmits: int = 0

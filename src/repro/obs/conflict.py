@@ -127,10 +127,6 @@ class ConflictProfile:
         return self.total.blocks / self.total.requests if self.total.requests else 0.0
 
     @property
-    def block_rate(self) -> float:
-        return self.conflict_rate
-
-    @property
     def abort_rate(self) -> float:
         """Aborts attributed here per request."""
         return self.total.aborts / self.total.requests if self.total.requests else 0.0

@@ -27,7 +27,7 @@ to :func:`~repro.spec.adt.execute_invocation` by construction
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from repro.graph.instrument import EdgeAttribution
 from repro.spec.adt import (
@@ -42,7 +42,6 @@ from repro.spec.operation import Invocation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.classification import OpClass
-    from repro.core.profile import OperationProfile
     from repro.semantics.history import HistoryEvent
 
 __all__ = ["EvidenceBase"]
@@ -240,11 +239,6 @@ class EvidenceBase:
             if restricted is not None:
                 classes.append(restricted)
         return max(classes) if classes else None
-
-    def full_class(
-        self, operation: str, profiles: Mapping[str, "OperationProfile"]
-    ) -> "OpClass":
-        return profiles[operation].op_class
 
     def serial_label_pairs(
         self, executing: str, invoked: str

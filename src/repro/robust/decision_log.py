@@ -451,9 +451,9 @@ def apply_record(
     """Apply one decision record to ``scheduler``, verifying its outcome.
 
     The single-record body of :func:`replay_into`, exposed so a backup
-    replica can apply shipped records incrementally as they arrive
-    (:mod:`repro.dist.replication`) with the same verification the
-    crash-recovery path runs.  ``log`` supplies the replay sources for
+    replica can replay the unreplayed tail of its shipped log when it is
+    read or promoted (:mod:`repro.dist.replication`) with the same
+    verification the crash-recovery path runs.  ``log`` supplies the replay sources for
     ``register`` records; ``index`` only labels errors.
     """
     if record.kind == "register":

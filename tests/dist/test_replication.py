@@ -17,21 +17,29 @@ The replication layer's contracts, each tested on its own:
   decision log write plus a participant crash before applying the
   decision, with a backup promotion in between, still resolves the
   in-doubt transaction to the logged decision.
+* **Passive backups** — backups only append shipped records; the
+  replica state they replay on demand equals a fresh verified replay of
+  the same log, and a tampered record fails the read or promotion that
+  replays it.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
 from repro.adts.account import AccountSpec
 from repro.adts.qstack import QStackSpec
+from repro.cc.scheduler import TableDrivenScheduler
 from repro.cc.workload import WorkloadConfig, generate
 from repro.chaos import SCENARIOS, _KillPrimariesOnce, run_chaos
 from repro.core.methodology import derive
-from repro.dist import run_distributed
+from repro.dist import replication, run_distributed
 from repro.dist.audit import audit_global
 from repro.dist.cluster import Cluster, ClusterFrontend, shard_workload
+from repro.errors import RecoveryError
 from repro.experiments import golden
+from repro.robust.decision_log import replay_into
 from repro.spec.operation import Invocation
 
 
@@ -61,6 +69,29 @@ def workload_for(adt, seed, transactions=8):
 
 def digest(transcript) -> str:
     return hashlib.sha256(repr(transcript).encode()).hexdigest()
+
+
+def serve_programs(frontend, workload, assignments, indices=None):
+    """Serve the workload's programs (all, or ``indices``) in order."""
+    if indices is None:
+        indices = range(len(workload.programs))
+    for index in indices:
+        program = workload.programs[index]
+        gtxn = frontend.begin()
+        aborted = False
+        for step_index, step in enumerate(program.steps):
+            decision = frontend.request(
+                gtxn, assignments[index][step_index], step.invocation
+            )
+            if decision.aborted:
+                aborted = True
+                break
+        if aborted:
+            continue
+        if program.voluntary_abort:
+            frontend.abort(gtxn, "voluntary")
+        else:
+            frontend.try_commit(gtxn)
 
 
 class _LabelCrash:
@@ -106,22 +137,7 @@ class TestReplicasOneParity:
             )
             frontend = ClusterFrontend(cluster)
             assignments = shard_workload(workload, cluster.shard_names, 11)
-            for index, program in enumerate(workload.programs):
-                gtxn = frontend.begin()
-                aborted = False
-                for step_index, step in enumerate(program.steps):
-                    decision = frontend.request(
-                        gtxn, assignments[index][step_index], step.invocation
-                    )
-                    if decision.aborted:
-                        aborted = True
-                        break
-                if aborted:
-                    continue
-                if program.voluntary_abort:
-                    frontend.abort(gtxn, "voluntary")
-                else:
-                    frontend.try_commit(gtxn)
+            serve_programs(frontend, workload, assignments)
             frontend.finalize()
             return dict(cluster.gstatus), dict(cluster.gstamps)
 
@@ -325,3 +341,167 @@ class TestCampaign:
         assert row["liveness"]["primary_kill.all_primaries_killed"]
         assert row["safety"]["primary_kill.no_committed_loss"]
         assert row["safety"]["primary_kill.single_primary_per_epoch"]
+
+
+def backups_of(cluster):
+    return [
+        backup
+        for name in sorted(cluster.replication.groups)
+        for backup in cluster.replication.groups[name].backups
+    ]
+
+
+def replica_fingerprint(sched):
+    return (
+        {name: sched.object(name).state() for name in sched.object_names()},
+        sched.dependency_graph().edges(),
+        sched.stats.seed_counters(),
+    )
+
+
+class _CatchUpMidRun:
+    """Crash-schedule shim: catches every backup up at every 7th
+    protocol point and leaves the crash decision to ``inner``."""
+
+    def __init__(self, inner=None) -> None:
+        self.inner = inner
+        self.cluster = None
+        self.points = 0
+
+    def fire(self, actor: str, label: str) -> bool:
+        self.points += 1
+        if self.points % 7 == 0:
+            for backup in backups_of(self.cluster):
+                backup.caught_up()
+        return self.inner is not None and self.inner.fire(actor, label)
+
+
+class TestPassiveBackups:
+    def run(self, adt, table, kill=False, catch_up=False):
+        inner = (
+            _KillPrimariesOnce([f"node{i}" for i in range(2)])
+            if kill
+            else None
+        )
+        schedule = _CatchUpMidRun(inner) if catch_up else inner
+        cluster = Cluster(
+            adt,
+            table,
+            shards=2,
+            policy="blocking",
+            replicas=3,
+            crash_schedule=schedule,
+        )
+        if catch_up:
+            schedule.cluster = cluster
+        transcript = cluster.run(workload_for(adt, 1991, 10), seed=1991)
+        return cluster, transcript
+
+    def assert_replicas_match_fresh_replay(self, cluster):
+        for backup in backups_of(cluster):
+            fresh = replay_into(
+                TableDrivenScheduler(policy=cluster.policy), backup.log
+            )
+            assert replica_fingerprint(
+                backup.caught_up()
+            ) == replica_fingerprint(fresh), backup.name
+
+    @pytest.mark.parametrize("kill", [False, True], ids=["nominal", "kill"])
+    def test_caught_up_replica_equals_fresh_replay(self, fixture, kill):
+        adt, table = fixture
+        cluster, _ = self.run(adt, table, kill=kill)
+        if kill:
+            assert cluster.stats.view_changes == 2
+        self.assert_replicas_match_fresh_replay(cluster)
+        invocation = TestObserverReads().observer_invocation(adt)
+        for shard in cluster.shard_names:
+            cluster.observer_read(shard, invocation)
+        self.assert_replicas_match_fresh_replay(cluster)
+
+    @pytest.mark.parametrize("kill", [False, True], ids=["nominal", "kill"])
+    def test_mid_run_catch_up_is_incremental_and_invisible(
+        self, fixture, kill
+    ):
+        """Catching backups up while the run goes on changes nothing the
+        run observes, and the replica built in steps equals one built by
+        a single replay."""
+        adt, table = fixture
+        plain_cluster, plain = self.run(adt, table, kill=kill)
+        cluster, transcript = self.run(adt, table, kill=kill, catch_up=True)
+        assert cluster.crash_schedule.points >= 7
+        assert digest(transcript) == digest(plain)
+        assert (
+            cluster.replication.lag_report()
+            == plain_cluster.replication.lag_report()
+        )
+        self.assert_replicas_match_fresh_replay(cluster)
+
+    def test_fault_free_run_never_replays_on_a_backup(
+        self, fixture, monkeypatch
+    ):
+        adt, table = fixture
+        built = []
+
+        def recording_scheduler(*args, **kwargs):
+            sched = TableDrivenScheduler(*args, **kwargs)
+            built.append(sched)
+            return sched
+
+        callers = set()
+        real_request = TableDrivenScheduler.request
+
+        def recording_request(self, *args, **kwargs):
+            callers.add(id(self))
+            return real_request(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            replication, "TableDrivenScheduler", recording_scheduler
+        )
+        monkeypatch.setattr(TableDrivenScheduler, "request", recording_request)
+        cluster, _ = self.run(adt, table)
+        assert cluster.stats.repl_records_applied > 0
+        assert built == []
+        primaries = {id(node.sched.inner) for node in cluster.nodes}
+        assert callers and callers <= primaries
+
+
+class TestTamperedLogFailsLoud:
+    def test_read_and_promotion_name_the_tampered_record(self, fixture):
+        """A backup caught up by an observer read mid-stream; a record
+        shipped after that read is tampered with.  Both readers replay
+        it, verified, and name it."""
+        adt, table = fixture
+        workload = workload_for(adt, 7)
+        cluster = Cluster(adt, table, shards=2, policy="blocking", replicas=2)
+        frontend = ClusterFrontend(cluster)
+        assignments = shard_workload(workload, cluster.shard_names, 7)
+        half = len(workload.programs) // 2
+        group = cluster.replication.groups["node0"]
+        (backup,) = group.backups
+        invocation = TestObserverReads().observer_invocation(adt)
+        serve_programs(frontend, workload, assignments, range(half))
+        cluster.observer_read(group.shard, invocation)
+        replayed = backup.applied
+        serve_programs(
+            frontend, workload, assignments,
+            range(half, len(workload.programs)),
+        )
+        frontend.finalize()
+        records = backup.log.records
+        index = next(
+            i
+            for i in range(replayed, backup.applied)
+            if records[i].kind == "request"
+            and records[i].outcome == "executed"
+        )
+        records[index] = dataclasses.replace(
+            records[index], returned=records[index].returned + "!"
+        )
+        pattern = rf"replay record {index}: request "
+        with pytest.raises(RecoveryError, match=pattern):
+            cluster.observer_read(group.shard, invocation)
+        epoch = group.epoch
+        with pytest.raises(RecoveryError, match=pattern):
+            cluster.replication.promote(group, lambda gtxns: None)
+        assert group.epoch == epoch
+        assert group.backups == [backup]

@@ -64,7 +64,7 @@ class TestLoggingTransparency:
 
 class TestPolicySwitchRecords:
     """Per-object discipline switches are decisions too: un-logged, a
-    recovered scheduler (or a backup replica applying the shipped log)
+    recovered scheduler (or a backup replica replaying the shipped log)
     would replay every subsequent request under the base policy and
     diverge."""
 
