@@ -19,7 +19,8 @@ contract — is certified under faults by the rows of :data:`SCENARIOS`:
 ``serve``
     The hardened :class:`~repro.serve.loop.ServingLoop` under each load
     mix of :data:`SERVE_MIXES`: clean audits, no shed request ever
-    committed, and overload-plus-faults goodput at least half nominal.
+    committed, every request settled exactly once, and
+    overload-plus-faults goodput at least half nominal.
 ``replication``
     Replica groups through :data:`REPLICATION_SCENARIOS`: primary kills
     mid-2PC, a false-suspicion partition that heals, a deposed-epoch
@@ -396,6 +397,12 @@ def _serve_mix(adt, table, seed: int, cell: dict, mix: dict) -> tuple:
         evidence["violations"] = list(audit.violations)
         evidence["dist"] = cluster.stats.to_dict()
     safety["no_resurrection"] = not resurrected
+    # Every admitted request reaches exactly one terminal outcome:
+    # ``result.requests`` sums the terminal counters, so a request
+    # settled twice or never breaks the equality.
+    liveness["terminal_outcomes"] = (
+        len(loop.outcomes) == len(workload.requests) == result.requests
+    )
     return safety, liveness, evidence
 
 

@@ -42,7 +42,6 @@ from repro.serve.workload import (
     Request,
     ServeConfig,
     ServeWorkload,
-    from_cc_workload,
     generate,
     zipf_weights,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "Request",
     "ServeConfig",
     "ServeWorkload",
-    "from_cc_workload",
     "generate",
     "zipf_weights",
 ]

@@ -18,8 +18,6 @@ executors; see ``docs/PERFORMANCE.md``, "Compiled dispatch").
 
 from __future__ import annotations
 
-from repro.spec.adt import render_state
-
 __all__ = ["SchedulerBackend", "ClusterBackend"]
 
 
@@ -94,29 +92,6 @@ class SchedulerBackend:
 
     def add_resolution_listener(self, listener) -> None:
         self.scheduler.add_resolution_listener(listener)
-
-    # -- transcript support (poll-mode parity) ------------------------
-
-    def transcript_tail(self, admitted: int, object_name: str):
-        """``(edges, statuses, final_state, seed_stats)`` as ``drive`` records them."""
-        scheduler = self.scheduler
-        edges = tuple(
-            sorted(
-                (pair, dependency.name)
-                for pair, dependency in scheduler.dependency_graph()
-                .edges()
-                .items()
-            )
-        )
-        statuses = tuple(
-            (txn, scheduler.transaction(txn).status.name)
-            for txn in range(admitted)
-        )
-        final_state = render_state(scheduler.object(object_name).state())
-        seed_stats = tuple(
-            sorted(scheduler.stats.seed_counters().items())
-        )
-        return edges, statuses, final_state, seed_stats
 
 
 class ClusterBackend:

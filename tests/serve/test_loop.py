@@ -1,8 +1,9 @@
 """The serving loop's behavioural contract: batching, retries, latency.
 
-Covers the engine itself (the parity and adaptive suites cover its
-correctness anchors): batched admission beats the single-request
-front-end on sim-time goodput, at-least-once retry re-enters scheduler
+Covers the engine itself (its decisions are replayed against the
+reference scheduler in ``test_parity.py``, and the adaptive suite covers
+policy switching): batched admission beats the single-request front-end
+on sim-time goodput, at-least-once retry re-enters scheduler
 aborts without retrying voluntary ones, latency phases land in the
 recorder, and the traced run renders a byte-stable dashboard serving
 section over both backends.
@@ -14,7 +15,6 @@ from repro.adts.registry import make_adt
 from repro.cc.scheduler import TableDrivenScheduler
 from repro.core.methodology import derive
 from repro.dist.cluster import Cluster, ClusterFrontend
-from repro.errors import SchedulerError
 from repro.obs.analysis import render_dashboard
 from repro.obs.tracers import RecordingTracer
 from repro.serve import (
@@ -154,17 +154,6 @@ class TestRetryAborts:
         assert result.committed == 0
         assert result.aborted == result.requests
         assert result.retries == 0
-
-    def test_retry_requires_ready_mode(self, account):
-        adt, _ = account
-        workload = generate(adt, CONTENDED)
-        with pytest.raises(SchedulerError):
-            ServingLoop(
-                scheduler_backend(account, workload),
-                workload,
-                retry="poll",
-                retry_aborts=True,
-            )
 
 
 class TestDashboardSection:

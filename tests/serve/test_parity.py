@@ -1,90 +1,186 @@
-"""Poll-mode serving is transcript-identical to the harness driver.
+"""The serving loop's decisions are the reference scheduler's decisions.
 
-The serving loop's correctness anchor: with ``retry="poll"`` over a
-single-object workload lifted from the harness generator, the loop must
-make exactly the calls :func:`repro.cc.harness.drive` makes — same
-admission order, same round-robin, same observed-abort handling — and
-the resulting :class:`~repro.cc.harness.Transcript` (per-operation
-decisions, resolutions, dependency edges, statuses, final state and
-seed counters) is compared by full structural equality.  A ``batching``
-of 1 (``max_inflight=1``) is the strict single-request front-end; wider
-batching must still match ``drive`` at the same concurrency.
+The serving loop's correctness anchor, by record and replay: a
+:class:`~repro.serve.backend.SchedulerBackend` that records every
+``begin`` / ``request`` / ``try_commit`` / ``abort`` call the production
+loop makes (arguments and return value) runs the loop over the compiled
+:class:`~repro.cc.scheduler.TableDrivenScheduler`; the recorded calls are
+then replayed, in order, into a fresh frozen
+:class:`~repro.cc.reference.ReferenceScheduler` with the same objects
+registered.  Every returned decision must compare equal, and so must the
+final dependency edges, per-transaction statuses, rendered object states
+and seed counters.  The loop's own accounting is checked against the
+reference too: every request settles exactly once, and a request counts
+as committed iff its last transaction, and only that one, committed.
+
+Grid: every builtin ADT x both policies x ten seeds, as a single-request
+front-end (``max_inflight=1``, one object) and a batched one
+(``max_inflight=4``, two objects), each served plain and at-least-once
+(``retry_aborts`` with seeded backoff and a deadline budget, so retries
+and deadline aborts appear in the recorded stream).
 """
 
 import pytest
 
-from repro.adts.registry import make_adt
-from repro.cc.harness import drive
+from repro.adts.registry import builtin_names, make_adt
+from repro.cc.reference import ReferenceScheduler
 from repro.cc.scheduler import TableDrivenScheduler
-from repro.cc.workload import WorkloadConfig, generate
 from repro.core.methodology import derive
-from repro.serve import SchedulerBackend, ServingLoop, from_cc_workload
+from repro.serve import (
+    DeadlinePolicy,
+    RetryPolicy,
+    SchedulerBackend,
+    ServeConfig,
+    ServingLoop,
+    generate,
+)
+from repro.spec.adt import render_state
 
 SEEDS = [1, 2, 7, 11, 23, 47, 101, 1991, 2024, 31337]
 
-
-@pytest.fixture(scope="module", params=["Account", "QStack"])
-def fixture(request):
-    adt = make_adt(request.param)
-    return adt, derive(adt).final_table
+_TABLES = {}
 
 
-def workload_for(adt, seed):
+def _fixture(adt_name):
+    if adt_name not in _TABLES:
+        adt = make_adt(adt_name)
+        _TABLES[adt_name] = adt, derive(adt).final_table
+    return _TABLES[adt_name]
+
+
+class RecordingBackend(SchedulerBackend):
+    """Records each decision call the loop makes, with its result."""
+
+    def __init__(self, scheduler) -> None:
+        super().__init__(scheduler)
+        self.calls: list[tuple[str, tuple, object]] = []
+
+    def begin(self):
+        txn = super().begin()
+        self.calls.append(("begin", (), txn))
+        return txn
+
+    def request(self, txn, object_name, invocation, deadline=None):
+        decision = super().request(txn, object_name, invocation, deadline)
+        self.calls.append(("request", (txn, object_name, invocation), decision))
+        return decision
+
+    def try_commit(self, txn, deadline=None):
+        decision = super().try_commit(txn, deadline)
+        self.calls.append(("try_commit", (txn,), decision))
+        return decision
+
+    def abort(self, txn, reason="voluntary"):
+        cascade = super().abort(txn, reason)
+        self.calls.append(("abort", (txn, reason), cascade))
+        return cascade
+
+
+def workload_for(adt, seed, objects):
     return generate(
         adt,
-        "obj",
-        WorkloadConfig(
-            transactions=8,
-            operations_per_transaction=3,
+        ServeConfig(
+            sessions=4,
+            requests_per_session=3,
+            operations_per_request=3,
+            mode="open",
+            mean_interarrival=0.5,
+            objects=objects,
             abort_probability=0.15,
             seed=seed,
         ),
     )
 
 
-def serve_poll(adt, table, workload, policy, max_inflight):
-    backend = SchedulerBackend(TableDrivenScheduler(policy=policy))
-    backend.register_object("obj", adt, table)
-    loop = ServingLoop(
-        backend,
-        from_cc_workload(workload),
-        max_inflight=max_inflight,
-        retry="poll",
+def end_state(scheduler, begun, object_names):
+    """Edges, statuses, rendered states and seed counters of a run."""
+    edges = sorted(
+        (pair, dependency.name)
+        for pair, dependency in scheduler.dependency_graph().edges().items()
     )
-    return loop.run()
+    statuses = [scheduler.transaction(txn).status.name for txn in range(begun)]
+    states = [
+        render_state(scheduler.object(name).state()) for name in object_names
+    ]
+    return edges, statuses, states, scheduler.stats.seed_counters()
 
 
-class TestPollParity:
-    @pytest.mark.parametrize("policy", ["optimistic", "blocking"])
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_single_request_front_end_matches_drive(
-        self, fixture, policy, seed
-    ):
-        adt, table = fixture
-        workload = workload_for(adt, seed)
-        reference = drive(
-            TableDrivenScheduler(policy=policy), adt, table, workload,
-            concurrency=1,
+def serve_and_replay(adt_name, seed, policy, max_inflight, objects,
+                     at_least_once):
+    """Serve one run, replay its decision calls, and return the pieces."""
+    adt, table = _fixture(adt_name)
+    workload = workload_for(adt, seed, objects)
+    options = {}
+    if at_least_once:
+        options = dict(
+            retry_aborts=True,
+            retry_policy=RetryPolicy(seed=seed),
+            deadline=DeadlinePolicy(budget=40.0),
         )
-        result = serve_poll(adt, table, workload, policy, max_inflight=1)
-        assert result.transcript is not None
-        assert result.transcript == reference
+    scheduler = TableDrivenScheduler(policy=policy)
+    backend = RecordingBackend(scheduler)
+    for name in workload.object_names:
+        backend.register_object(name, adt, table)
+    loop = ServingLoop(backend, workload, max_inflight=max_inflight, **options)
+    result = loop.run()
+    label = f"{adt_name}/{policy}/seed={seed}/retry={at_least_once}"
 
-    @pytest.mark.parametrize("policy", ["optimistic", "blocking"])
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_batched_front_end_matches_drive(self, fixture, policy, seed):
-        adt, table = fixture
-        workload = workload_for(adt, seed)
-        reference = drive(
-            TableDrivenScheduler(policy=policy), adt, table, workload,
-            concurrency=4,
+    reference = ReferenceScheduler(policy=policy)
+    for name in workload.object_names:
+        reference.register_object(name, adt, table)
+    for index, (method, args, recorded) in enumerate(backend.calls):
+        replayed = getattr(reference, method)(*args)
+        assert replayed == recorded, (
+            f"{label}: call {index} {method}{args} decided {recorded!r} "
+            f"in the loop but {replayed!r} in the reference"
         )
-        result = serve_poll(adt, table, workload, policy, max_inflight=4)
-        assert result.transcript == reference
+    begun = sum(method == "begin" for method, _, _ in backend.calls)
+    final = end_state(reference, begun, workload.object_names)
+    assert end_state(scheduler, begun, workload.object_names) == final, (
+        f"{label}: end states diverge"
+    )
+    return workload, loop, result, reference, final, label
 
-    def test_committed_counts_match_transcript(self, fixture):
-        adt, table = fixture
-        workload = workload_for(adt, 7)
-        result = serve_poll(adt, table, workload, "blocking", max_inflight=4)
-        assert result.committed == len(result.transcript.committed())
-        assert result.committed + result.aborted == result.requests
+
+def check_served_run(adt_name, seed, policy, max_inflight, objects):
+    for at_least_once in (False, True):
+        workload, loop, result, reference, final, label = serve_and_replay(
+            adt_name, seed, policy, max_inflight, objects, at_least_once
+        )
+        # The loop's accounting, against the reference's verdicts.
+        assert len(loop.outcomes) == len(workload.requests) == result.requests
+        for rid, outcome in loop.outcomes.items():
+            txns = loop.request_txns.get(rid, [])
+            committed = [
+                txn for txn in txns
+                if reference.transaction(txn).status.name == "COMMITTED"
+            ]
+            expected = txns[-1:] if outcome == "committed" else []
+            assert committed == expected, (
+                f"{label}: request {rid} ({outcome}) committed {committed}"
+            )
+        assert result.committed == final[1].count("COMMITTED")
+
+
+@pytest.mark.parametrize("policy", ["optimistic", "blocking"])
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("adt_name", builtin_names())
+class TestReplay:
+    def test_single_request_matches_reference(self, adt_name, seed, policy):
+        check_served_run(adt_name, seed, policy, max_inflight=1, objects=1)
+
+    def test_batched_matches_reference(self, adt_name, seed, policy):
+        check_served_run(adt_name, seed, policy, max_inflight=4, objects=2)
+
+
+@pytest.mark.parametrize("adt_name", builtin_names())
+def test_committed_counts_match_reference(adt_name):
+    # Plain batched blocking serving sheds nothing and has no deadline,
+    # so every request ends committed or aborted, and the committed count
+    # is the reference's number of committed transactions.
+    workload, _, result, _, final, _ = serve_and_replay(
+        adt_name, 7, "blocking", max_inflight=4, objects=2, at_least_once=False
+    )
+    assert result.committed == final[1].count("COMMITTED")
+    assert result.committed + result.aborted == result.requests
+    assert result.requests == len(workload.requests)

@@ -4,6 +4,8 @@
   the rows CI certifies.
 * **Verdict** — a row passes iff every safety and liveness gate holds;
   the report passes iff every row does.
+* **Serving liveness** — every admitted request reaches exactly one
+  terminal outcome, and the gate says so when it does not.
 * **Defects** — strict xfails that reproduce failures seen only at seeds
   CI does not run yet.  Each turns into an XPASS (and so a test failure)
   the day its defect is fixed, which is the cue to widen the row's seeds.
@@ -14,6 +16,7 @@ from collections import Counter
 
 import pytest
 
+from repro import chaos
 from repro.adts.registry import make_adt
 from repro.cc.workload import WorkloadConfig, generate
 from repro.chaos import (
@@ -110,6 +113,44 @@ class TestReport:
         )
         assert [row["passed"] for row in report["rows"]] == [True, False]
         assert not report["passed"]
+
+
+class TestServeLiveness:
+    def serve_liveness(self):
+        report = run_chaos(
+            adts_for("Account"), scenarios=(one_cell("serve", "scheduler"),)
+        )
+        (row,) = report["rows"]
+        return [row["liveness"][f"{mix}.terminal_outcomes"]
+                for mix in sorted(SERVE_MIXES)]
+
+    def test_every_request_settles_once(self):
+        assert self.serve_liveness() == [True] * len(SERVE_MIXES)
+
+    @pytest.mark.parametrize("fault", ["never_settled", "settled_twice"])
+    def test_gate_fails_when_outcomes_and_counters_disagree(
+        self, monkeypatch, fault
+    ):
+        hardened = chaos._hardened_loop
+
+        def miscounting_loop(*args, **kwargs):
+            loop = hardened(*args, **kwargs)
+            run = loop.run
+
+            def miscounted_run():
+                result = run()
+                if fault == "never_settled":
+                    loop.outcomes.popitem()
+                    return result
+                return dataclasses.replace(
+                    result, requests=result.requests + 1
+                )
+
+            loop.run = miscounted_run
+            return loop
+
+        monkeypatch.setattr(chaos, "_hardened_loop", miscounting_loop)
+        assert self.serve_liveness() == [False] * len(SERVE_MIXES)
 
 
 def crashed_cluster(name, seed, target, point):
